@@ -1,21 +1,20 @@
 /**
  * @file
  * Extension bench: forward propagation under WEIGHT sparsity (pruned
- * models) — the Fig. 4-style crossover of the CSR-weights engines.
+ * models) — the Fig. 4-style crossover of the CSR-weights engine.
  *
  * Per Table 1 layer and per pruning level, measures (MEASURED, this
  * host):
  *
  *  - dense baseline: gemm-in-parallel, oblivious to weight zeros;
- *  - "axpy": the original sparse-weights engine (row AXPY into a
- *    zeroed output plane), running WARM on its cached CSR plan;
- *  - "direct": the register-tiled sparse-weights-direct engine, warm;
+ *  - "direct": the register-tiled sparse-weights-direct engine, WARM
+ *    on its cached CSR plan;
  *  - the once-per-weight-version CSR encode cost (cold call through
  *    PackedWeightCache, reported informationally as encode_ms).
  *
  * Every direct result is verified bit-for-bit against the reference
- * engine before timing. Repetitions are interleaved across the three
- * engines so clock drift hits all candidates equally. Results go to a
+ * engine before timing. Repetitions are interleaved across the two
+ * engines so clock drift hits both equally. Results go to a
  * table and BENCH_wsparse.json for tools/bench_compare.
  */
 
@@ -28,7 +27,6 @@
 
 #include "bench/bench_common.hh"
 #include "conv/engine_sparse_direct.hh"
-#include "conv/engine_sparse_weights.hh"
 #include "conv/engines.hh"
 #include "conv/packed_weights.hh"
 #include "core/tuner.hh"
@@ -69,13 +67,8 @@ struct Point
 {
     double weight_sparsity = 0;   ///< actual zero fraction measured at
     double dense_seconds = 0;
-    double axpy_seconds = 0;
     double direct_seconds = 0;
     double encode_seconds = 0;    ///< once-per-weight-version CSR build
-    double speedupVsAxpy() const
-    {
-        return direct_seconds > 0 ? axpy_seconds / direct_seconds : 0.0;
-    }
     double speedupVsDense() const
     {
         return direct_seconds > 0 ? dense_seconds / direct_seconds : 0.0;
@@ -89,9 +82,8 @@ main(int argc, char **argv)
 {
     CliParser cli(
         "Weight-sparsity FP crossover: dense gemm-in-parallel vs the "
-        "row-AXPY sparse-weights engine vs the register-tiled "
-        "sparse-weights-direct engine across pruning levels "
-        "(MEASURED)");
+        "register-tiled sparse-weights-direct engine across pruning "
+        "levels (MEASURED)");
     addCommonFlags(cli);
     cli.addString("ids", "0,5",
                   "comma-separated Table 1 convolution ids");
@@ -122,12 +114,12 @@ main(int argc, char **argv)
         parseSparsities(cli.getString("sparsities"));
 
     TablePrinter table(
-        "CSR-weights FP engines vs dense per pruning level (" +
+        "CSR-weights FP engine vs dense per pruning level (" +
             std::to_string(cores) + " core(s), batch " +
             std::to_string(batch) + ", best of " +
             std::to_string(reps) + ", MEASURED)",
-        {"ID", "spec", "w-sparsity", "dense ms", "axpy ms",
-         "direct ms", "direct/axpy", "direct/dense", "encode ms"});
+        {"ID", "spec", "w-sparsity", "dense ms", "direct ms",
+         "direct/dense", "encode ms"});
 
     std::ostringstream json;
     json << "{\n  \"bench\": \"wsparse\",\n  \"reps\": " << reps
@@ -135,7 +127,6 @@ main(int argc, char **argv)
          << ",\n  \"layers\": [";
 
     GemmInParallelEngine dense;
-    SparseWeightsFpEngine axpy;
     SparseDirectFpEngine direct;
     ReferenceEngine reference;
     PackedWeightCache &wcache = PackedWeightCache::global();
@@ -196,18 +187,12 @@ main(int argc, char **argv)
                 before.encode_seconds;
 
             // Warm steady-state timing, reps interleaved across the
-            // three engines.
-            axpy.forward(spec, in, w, out, pool);  // warm axpy plan
-            pt.dense_seconds = pt.axpy_seconds = pt.direct_seconds =
-                1e30;
+            // two engines.
+            pt.dense_seconds = pt.direct_seconds = 1e30;
             for (int rep = 0; rep < reps; ++rep) {
                 pt.dense_seconds =
                     std::min(pt.dense_seconds, bestTimeSeconds(1, [&] {
                                  dense.forward(spec, in, w, out, pool);
-                             }));
-                pt.axpy_seconds =
-                    std::min(pt.axpy_seconds, bestTimeSeconds(1, [&] {
-                                 axpy.forward(spec, in, w, out, pool);
                              }));
                 pt.direct_seconds =
                     std::min(pt.direct_seconds,
@@ -221,9 +206,7 @@ main(int argc, char **argv)
                 spec.str(),
                 TablePrinter::fmt(pt.weight_sparsity, 2),
                 TablePrinter::fmt(pt.dense_seconds * 1e3, 2),
-                TablePrinter::fmt(pt.axpy_seconds * 1e3, 2),
                 TablePrinter::fmt(pt.direct_seconds * 1e3, 2),
-                TablePrinter::fmt(pt.speedupVsAxpy(), 2),
                 TablePrinter::fmt(pt.speedupVsDense(), 2),
                 TablePrinter::fmt(pt.encode_seconds * 1e3, 3),
             });
@@ -231,11 +214,8 @@ main(int argc, char **argv)
                  << "\n      {\"weight_sparsity\": "
                  << pt.weight_sparsity
                  << ", \"seconds\": {\"dense\": " << pt.dense_seconds
-                 << ", \"axpy\": " << pt.axpy_seconds
                  << ", \"direct\": " << pt.direct_seconds
-                 << "}, \"speedup_direct_vs_axpy\": "
-                 << pt.speedupVsAxpy()
-                 << ", \"speedup_direct_vs_dense\": "
+                 << "}, \"speedup_direct_vs_dense\": "
                  << pt.speedupVsDense()
                  << ", \"encode_ms\": " << pt.encode_seconds * 1e3
                  << "}";
@@ -244,7 +224,7 @@ main(int argc, char **argv)
         json << "\n    ]";
 
         // The scheduler's view at the deepest pruning level: does the
-        // crossover actually deploy a CSR-weights engine here?
+        // crossover actually deploy the CSR-weights engine here?
         if (cli.getBool("tuner") && !sparsities.empty()) {
             double deepest =
                 *std::max_element(sparsities.begin(), sparsities.end());

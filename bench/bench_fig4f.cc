@@ -23,8 +23,7 @@ using namespace spg;
 namespace {
 
 double
-measuredSpeedup(const std::string &engine_name, const ConvSpec &spec,
-                double sparsity, std::int64_t batch)
+measuredSpeedup(const ConvSpec &spec, double sparsity, std::int64_t batch)
 {
     ThreadPool pool(1);
     Rng rng(8);
@@ -39,7 +38,7 @@ measuredSpeedup(const std::string &engine_name, const ConvSpec &spec,
     eo.sparsify(rng, sparsity);
 
     GemmInParallelEngine gemm;
-    auto sparse = makeEngine(engine_name);
+    auto sparse = makeEngine("sparse-cached");
     double t_gemm = bestTimeSeconds(2, [&] {
         gemm.backwardData(spec, eo, w, ei, pool);
         gemm.backwardWeights(spec, eo, in, dw, pool);
@@ -66,12 +65,8 @@ main(int argc, char **argv)
     cli.addInt("measure-flops-limit", 8,
                "skip measured columns above this many GFlops per image "
                "batch");
-    cli.addString("sparse-engine", "sparse",
-                  "sparse BP engine to model and measure (sparse | "
-                  "sparse-cached)");
     cli.parse(argc, argv);
     std::int64_t batch = cli.getInt("batch");
-    std::string engine_name = cli.getString("sparse-engine");
 
     MachineModel machine = MachineModel::xeonE5_2650();
     TablePrinter table(
@@ -94,7 +89,7 @@ main(int argc, char **argv)
                                          sparsity)
                               .seconds;
                 t_sparse += modelConvPhase(machine, entry.spec, phase,
-                                           engine_name, batch, 16,
+                                           "sparse-cached", batch, 16,
                                            sparsity)
                                 .seconds;
             }
@@ -106,12 +101,10 @@ main(int argc, char **argv)
                         flops_limit;
         if (cli.getBool("measure") && feasible) {
             row.push_back(TablePrinter::fmt(
-                measuredSpeedup(engine_name, entry.spec, 0.0,
-                                measure_batch),
+                measuredSpeedup(entry.spec, 0.0, measure_batch),
                 2));
             row.push_back(TablePrinter::fmt(
-                measuredSpeedup(engine_name, entry.spec, 0.94,
-                                measure_batch),
+                measuredSpeedup(entry.spec, 0.94, measure_batch),
                 2));
         } else {
             row.push_back("-");

@@ -74,8 +74,9 @@ main(int argc, char **argv)
         bool use_stencil = fp_stencil < fp_gip;
         double bp_base = bpSeconds(machine, entry.spec, "parallel-gemm",
                                    batch, cores, sparsity);
-        double bp_sparse = bpSeconds(machine, entry.spec, "sparse",
-                                     batch, cores, sparsity);
+        double bp_sparse = bpSeconds(machine, entry.spec,
+                                     "sparse-cached", batch, cores,
+                                     sparsity);
 
         table.addRow({
             entry.benchmark,

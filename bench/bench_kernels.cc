@@ -15,6 +15,7 @@
 #include "conv/unfold.hh"
 #include "sparse/csr.hh"
 #include "sparse/sparse_mm.hh"
+#include "sparse/sparse_plan.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
 
@@ -149,6 +150,8 @@ BM_SparseBpBackwardData(benchmark::State &state)
     eo.sparsify(rng, sparsity);
     SparseBpEngine engine;
     for (auto _ : state) {
+        // Every training step sees a fresh EO: charge the encode.
+        SparsePlanCache::global().invalidate(eo.data());
         engine.backwardData(spec, eo, w, ei, pool);
         benchmark::DoNotOptimize(ei.data());
     }

@@ -76,7 +76,7 @@ main(int argc, char **argv)
                               "parallel-gemm"};
     EngineAssignment gip{"gemm-in-parallel", "gemm-in-parallel",
                          "gemm-in-parallel"};
-    EngineAssignment spg{"stencil", "sparse", "sparse"};
+    EngineAssignment spg{"stencil", "sparse-cached", "sparse-cached"};
 
     double base =
         trainOnce("Unfold+Parallel-GEMM", dataset, options, &baseline,

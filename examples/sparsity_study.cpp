@@ -19,6 +19,7 @@
 #include "conv/engines.hh"
 #include "data/synthetic.hh"
 #include "nn/trainer.hh"
+#include "sparse/sparse_plan.hh"
 #include "util/cli.hh"
 #include "util/random.hh"
 #include "util/timer.hh"
@@ -45,6 +46,8 @@ sparseSpeedupAt(const ConvSpec &spec, double sparsity, ThreadPool &pool)
         dense.backwardData(spec, eo, w, ei, pool);
     });
     double t_sparse = bestTimeSeconds(2, [&] {
+        // A training step sees a fresh EO: charge the encode every rep.
+        SparsePlanCache::global().invalidate(eo.data());
         sparse.backwardData(spec, eo, w, ei, pool);
     });
     return t_dense / t_sparse;

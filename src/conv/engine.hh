@@ -33,6 +33,7 @@
 #ifndef SPG_CONV_ENGINE_HH
 #define SPG_CONV_ENGINE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -145,6 +146,48 @@ struct BpMask
  */
 const float *stagedMaskedEo(const ConvSpec &spec, const float *eo,
                             std::int64_t eo_offset, const BpMask &mask);
+
+/**
+ * Fixed split of a minibatch into contiguous image chunks, one private
+ * partial-gradient slab each, for the batch-parallel BP-weights
+ * engines. Chunk i always holds images [i * size, min((i + 1) * size,
+ * batch)) accumulated in ascending order, and the slabs are summed in
+ * chunk order, so the reduced gradient depends only on the batch, the
+ * pool size and the slab size, never on which worker claimed which
+ * chunk.
+ *
+ * Chunks are as fine as kSlabBudgetBytes of slabs allow (one image per
+ * chunk for small weight tensors, so work stealing still balances
+ * per image), but never fewer than one per thread.
+ */
+struct BatchChunks
+{
+    static constexpr std::int64_t kSlabBudgetBytes = 1 << 20;
+
+    std::int64_t size = 1;   ///< images per chunk (the last may be short)
+    std::int64_t count = 0;  ///< number of chunks (= slabs)
+
+    BatchChunks(std::int64_t batch, int threads, std::int64_t slab_elems)
+    {
+        if (batch <= 0)
+            return;
+        std::int64_t slab_bytes =
+            std::max<std::int64_t>(1, slab_elems) *
+            static_cast<std::int64_t>(sizeof(float));
+        std::int64_t want = std::max<std::int64_t>(
+            threads > 0 ? threads : 1, kSlabBudgetBytes / slab_bytes);
+        want = std::min(want, batch);
+        size = (batch + want - 1) / want;
+        count = (batch + size - 1) / size;
+    }
+
+    std::int64_t begin(std::int64_t chunk) const { return chunk * size; }
+    std::int64_t
+    end(std::int64_t chunk, std::int64_t batch) const
+    {
+        return std::min(batch, (chunk + 1) * size);
+    }
+};
 
 /**
  * Abstract convolution executor. Implementations are stateless with

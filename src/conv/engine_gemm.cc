@@ -190,36 +190,33 @@ GemmInParallelEngine::backwardWeights(const ConvSpec &spec,
     std::int64_t batch = eo.shape()[0];
     std::int64_t w_count = spec.weightElems();
 
-    // Each worker accumulates into a private gradient slab; the slabs
-    // are summed into dweights afterwards. The slabs live in reusable
-    // per-engine scratch and each worker zeroes its own slab on first
-    // touch, so steady-state minibatches neither allocate nor
-    // zero-fill slabs of idle workers.
-    int workers = pool.threads();
+    // Each batch chunk accumulates into a private gradient slab; the
+    // slabs are summed into dweights afterwards in chunk order, so the
+    // result does not depend on which worker ran which chunk. The slabs
+    // live in reusable per-engine scratch, so steady-state minibatches
+    // do not allocate.
+    BatchChunks chunks(batch, pool.threads(), w_count);
     std::size_t total =
-        static_cast<std::size_t>(workers) * w_count;
+        static_cast<std::size_t>(chunks.count) * w_count;
     if (partialDw_.size() < total)
         partialDw_ = AlignedBuffer<float>(kUninit, total);
-    partialUsed_.assign(workers, 0);
-    pool.parallelForDynamic(batch, [&](std::int64_t b, int worker) {
-        float *dw = partialDw_.data() + worker * w_count;
-        if (!partialUsed_[worker]) {
-            std::memset(dw, 0, sizeof(float) * w_count);
-            partialUsed_[worker] = 1;
+    pool.parallelForDynamic(chunks.count, [&](std::int64_t c, int) {
+        float *dw = partialDw_.data() + c * w_count;
+        std::memset(dw, 0, sizeof(float) * w_count);
+        for (std::int64_t b = chunks.begin(c); b < chunks.end(c, batch);
+             ++b) {
+            std::int64_t off = b * spec.outputElems();
+            const float *eo_b =
+                stagedMaskedEo(spec, eo.data() + off, off, mask);
+            backwardWeightsImage(spec, eo_b,
+                                 in.data() + b * spec.inputElems(), dw,
+                                 seqMm);
         }
-        std::int64_t off = b * spec.outputElems();
-        const float *eo_b =
-            stagedMaskedEo(spec, eo.data() + off, off, mask);
-        backwardWeightsImage(spec, eo_b,
-                             in.data() + b * spec.inputElems(), dw,
-                             seqMm);
     }, /*grain=*/1);
 
     dweights.zero();
-    for (int w = 0; w < workers; ++w) {
-        if (!partialUsed_[w])
-            continue;
-        const float *src = partialDw_.data() + w * w_count;
+    for (std::int64_t c = 0; c < chunks.count; ++c) {
+        const float *src = partialDw_.data() + c * w_count;
         float *dst = dweights.data();
         for (std::int64_t i = 0; i < w_count; ++i)
             dst[i] += src[i];

@@ -76,12 +76,12 @@ class GemmInParallelEngine : public ConvEngine
                          const BpMask &mask) const override;
 
   private:
-    /** Reused per-worker partial-gradient slabs for backwardWeights;
-     *  grown on demand so steady-state training allocates nothing in
-     *  that path. Calls on ONE engine instance must not overlap
-     *  (matches how layers and the tuner drive engines). */
+    /** Reused per-chunk partial-gradient slabs (see BatchChunks) for
+     *  backwardWeights; grown on demand so steady-state training
+     *  allocates nothing in that path. Calls on ONE engine instance
+     *  must not overlap (matches how layers and the tuner drive
+     *  engines). */
     mutable AlignedBuffer<float> partialDw_;
-    mutable std::vector<unsigned char> partialUsed_;
 };
 
 } // namespace spg

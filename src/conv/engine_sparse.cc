@@ -164,141 +164,20 @@ SparseBpEngine::effectiveFeatureTile(std::int64_t nf) const
     return std::min(kDefaultFeatureTile, nf);
 }
 
-float *
-SparseBpEngine::acquirePartials(int workers, std::int64_t w_count) const
-{
-    std::size_t total =
-        static_cast<std::size_t>(workers) * w_count;
-    if (partialDw_.size() < total)
-        partialDw_ = AlignedBuffer<float>(total);
-    partialUsed_.assign(workers, 0);
-    return partialDw_.data();
-}
-
-bool
-SparseBpEngine::claimWorkerSlab(int worker) const
-{
-    if (partialUsed_[worker])
-        return false;
-    partialUsed_[worker] = 1;
-    return true;
-}
-
 void
-SparseBpEngine::reducePartials(int workers, std::int64_t w_count,
+SparseBpEngine::reducePartials(std::int64_t slabs, std::int64_t w_count,
                                float *dst) const
 {
     // fma(1, x, y) == x + y exactly, so the vectorized reduction is
     // bit-for-bit the scalar += loop it replaces.
-    for (int w = 0; w < workers; ++w) {
-        if (!partialUsed_[w])
-            continue;
-        axpy(w_count, 1.0f, partialDw_.data() + w * w_count, dst);
-    }
+    for (std::int64_t c = 0; c < slabs; ++c)
+        axpy(w_count, 1.0f, partialDw_.data() + c * w_count, dst);
 }
 
 void
 SparseBpEngine::backwardData(const ConvSpec &spec, const Tensor &eo,
                              const Tensor &weights, Tensor &ei,
                              ThreadPool &pool, const BpMask &mask) const
-{
-    SPG_TRACE_SCOPE("kernel", "sparse BP-data");
-    checkBackwardShapes(spec, eo, weights, ei);
-    std::int64_t batch = eo.shape()[0];
-    std::int64_t oy = spec.outY(), ox = spec.outX();
-    std::int64_t spatial_out = oy * ox;
-    std::int64_t spatial_in = spec.ny * spec.nx;
-    std::int64_t tile_w = effectiveFeatureTile(spec.nf);
-
-    // Weights channel-fastest: W'[ky][kx][f][c]; once per call.
-    Tensor wkkfc = Tensor::uninitialized(
-        Shape{spec.fy, spec.fx, spec.nf, spec.nc});
-    weightsToKkfc(weights.data(), spec.nf, spec.nc, spec.fy, spec.fx,
-                  wkkfc.data());
-    const float *wt = wkkfc.data();
-
-    pool.parallelForDynamic(batch, [&](std::int64_t b, int) {
-        ScratchArena &arena = ScratchArena::forThread();
-        // Fused ReLU gate first (masked entries become exact zeros, so
-        // the encode drops them — identical to an unfused ReLU BP).
-        std::int64_t off = b * spec.outputElems();
-        const float *eo_b = stagedMaskedEo(spec, eo.data() + off, off,
-                                           mask);
-        // EO feature-fastest: EO'[(y',x')][f].
-        float *eo_t = arena.get(
-            kSlotLayoutA, static_cast<std::size_t>(spatial_out) * spec.nf);
-        chwToHwc(eo_b, spec.nf, oy, ox, eo_t);
-        CtCsrMatrix ct = CtCsrMatrix::fromDense(eo_t, spatial_out,
-                                                spec.nf, tile_w);
-
-        // EI channel-fastest staging, zeroed.
-        float *ei_t = arena.get(
-            kSlotLayoutC, static_cast<std::size_t>(spatial_in) * spec.nc);
-        std::memset(ei_t, 0,
-                    sizeof(float) * spatial_in * spec.nc);
-
-        replayDataImage(spec, ct, wt, ei_t);
-
-        hwcToChw(ei_t, spec.ny, spec.nx, spec.nc,
-                 ei.data() + b * spec.inputElems());
-    }, /*grain=*/1);
-}
-
-void
-SparseBpEngine::backwardWeights(const ConvSpec &spec, const Tensor &eo,
-                                const Tensor &in, Tensor &dweights,
-                                ThreadPool &pool, const BpMask &mask) const
-{
-    SPG_TRACE_SCOPE("kernel", "sparse BP-weights");
-    std::int64_t batch = eo.shape()[0];
-    std::int64_t oy = spec.outY(), ox = spec.outX();
-    std::int64_t spatial_out = oy * ox;
-    std::int64_t spatial_in = spec.ny * spec.nx;
-    std::int64_t tile_w = effectiveFeatureTile(spec.nf);
-    std::int64_t w_count = spec.weightElems();
-
-    // Per-worker private dW' accumulators in [ky][kx][f][c] layout,
-    // reused across calls; each worker zeroes its own slab on first
-    // touch so idle workers cost nothing.
-    int workers = pool.threads();
-    float *partials = acquirePartials(workers, w_count);
-
-    pool.parallelForDynamic(batch, [&](std::int64_t b, int worker) {
-        ScratchArena &arena = ScratchArena::forThread();
-        std::int64_t off = b * spec.outputElems();
-        const float *eo_b = stagedMaskedEo(spec, eo.data() + off, off,
-                                           mask);
-        float *eo_t = arena.get(
-            kSlotLayoutA, static_cast<std::size_t>(spatial_out) * spec.nf);
-        chwToHwc(eo_b, spec.nf, oy, ox, eo_t);
-        CtCsrMatrix ct = CtCsrMatrix::fromDense(eo_t, spatial_out,
-                                                spec.nf, tile_w);
-
-        // Input channel-fastest: I'[(y,x)][c].
-        float *in_t = arena.get(
-            kSlotLayoutB, static_cast<std::size_t>(spatial_in) * spec.nc);
-        chwToHwc(in.data() + b * spec.inputElems(), spec.nc, spec.ny,
-                 spec.nx, in_t);
-
-        float *dw = partials + worker * w_count;
-        if (claimWorkerSlab(worker))
-            std::memset(dw, 0, sizeof(float) * w_count);
-
-        replayWeightsImage(spec, ct, in_t, dw);
-    }, /*grain=*/1);
-
-    // Reduce private accumulators, then restore [f][c][ky][kx].
-    Tensor dw_kkfc(Shape{spec.fy, spec.fx, spec.nf, spec.nc});
-    reducePartials(workers, w_count, dw_kkfc.data());
-    weightsFromKkfc(dw_kkfc.data(), spec.fy, spec.fx, spec.nf, spec.nc,
-                    dweights.data());
-}
-
-void
-SparseBpCachedEngine::backwardData(const ConvSpec &spec, const Tensor &eo,
-                                   const Tensor &weights, Tensor &ei,
-                                   ThreadPool &pool,
-                                   const BpMask &mask) const
 {
     SPG_TRACE_SCOPE("kernel", "sparse-cached BP-data");
     checkBackwardShapes(spec, eo, weights, ei);
@@ -334,10 +213,9 @@ SparseBpCachedEngine::backwardData(const ConvSpec &spec, const Tensor &eo,
 }
 
 void
-SparseBpCachedEngine::backwardWeights(const ConvSpec &spec,
-                                      const Tensor &eo, const Tensor &in,
-                                      Tensor &dweights, ThreadPool &pool,
-                                      const BpMask &mask) const
+SparseBpEngine::backwardWeights(const ConvSpec &spec, const Tensor &eo,
+                                const Tensor &in, Tensor &dweights,
+                                ThreadPool &pool, const BpMask &mask) const
 {
     SPG_TRACE_SCOPE("kernel", "sparse-cached BP-weights");
     std::int64_t batch = eo.shape()[0];
@@ -351,25 +229,28 @@ SparseBpCachedEngine::backwardWeights(const ConvSpec &spec,
         SparsePlanCache::global().get(eo.data(), batch, spec.nf, oy, ox,
                                       tile_w, pool, mask.mask);
 
-    int workers = pool.threads();
-    float *partials = acquirePartials(workers, w_count);
+    BatchChunks chunks(batch, pool.threads(), w_count);
+    std::size_t total =
+        static_cast<std::size_t>(chunks.count) * w_count;
+    if (partialDw_.size() < total)
+        partialDw_ = AlignedBuffer<float>(total);
 
-    pool.parallelForDynamic(batch, [&](std::int64_t b, int worker) {
+    pool.parallelForDynamic(chunks.count, [&](std::int64_t c, int) {
         ScratchArena &arena = ScratchArena::forThread();
         float *in_t = arena.get(
             kSlotLayoutB, static_cast<std::size_t>(spatial_in) * spec.nc);
-        chwToHwc(in.data() + b * spec.inputElems(), spec.nc, spec.ny,
-                 spec.nx, in_t);
-
-        float *dw = partials + worker * w_count;
-        if (claimWorkerSlab(worker))
-            std::memset(dw, 0, sizeof(float) * w_count);
-
-        replayWeightsImage(spec, plan->images[b], in_t, dw);
+        float *dw = partialDw_.data() + c * w_count;
+        std::memset(dw, 0, sizeof(float) * w_count);
+        for (std::int64_t b = chunks.begin(c); b < chunks.end(c, batch);
+             ++b) {
+            chwToHwc(in.data() + b * spec.inputElems(), spec.nc, spec.ny,
+                     spec.nx, in_t);
+            replayWeightsImage(spec, plan->images[b], in_t, dw);
+        }
     }, /*grain=*/1);
 
     Tensor dw_kkfc(Shape{spec.fy, spec.fx, spec.nf, spec.nc});
-    reducePartials(workers, w_count, dw_kkfc.data());
+    reducePartials(chunks.count, w_count, dw_kkfc.data());
     weightsFromKkfc(dw_kkfc.data(), spec.fy, spec.fx, spec.nf, spec.nc,
                     dweights.data());
 }

@@ -28,8 +28,13 @@
  *    slice a feature band touches stays cache-resident and row walks
  *    stay TLB-friendly (Fig. 5a).
  *
- * All data-layout transformation and CT-CSR construction costs are
- * inside the engine, as in the paper's measurements.
+ * EO is compressed ONCE per minibatch through SparsePlanCache — with
+ * the fused CtCsrMatrix::fromChw builder, so the dense HWC staging
+ * transpose is never written — and BP-data and BP-weights replay the
+ * same shared read-only plan. Whichever phase runs first on a fresh EO
+ * pays the encode (BP-data, in a training step); the other finds the
+ * plan cached. A caller timing one phase with the encode included
+ * drops the plan first with SparsePlanCache::invalidate.
  */
 
 #ifndef SPG_CONV_ENGINE_SPARSE_HH
@@ -40,7 +45,7 @@
 
 namespace spg {
 
-/** Sparsity-exploiting BP engine. */
+/** Sparsity-exploiting, encode-once BP engine. */
 class SparseBpEngine : public ConvEngine
 {
   public:
@@ -56,7 +61,7 @@ class SparseBpEngine : public ConvEngine
     using ConvEngine::backwardData;
     using ConvEngine::backwardWeights;
 
-    std::string name() const override { return "sparse"; }
+    std::string name() const override { return "sparse-cached"; }
     bool supports(Phase phase) const override
     {
         return phase == Phase::BackwardData ||
@@ -74,53 +79,18 @@ class SparseBpEngine : public ConvEngine
     /** @return the feature tile width used for the given Nf. */
     std::int64_t effectiveFeatureTile(std::int64_t nf) const;
 
-  protected:
+  private:
     /**
-     * BP-weights shared tail: per-worker private dW' slabs in
-     * [ky][kx][f][c] layout, reused across calls (workers zero their
-     * own slab on first touch). reducePartials sums the used slabs
-     * into dst with the vectorized axpy.
+     * BP-weights tail: one private dW' slab per batch chunk (see
+     * BatchChunks) in [ky][kx][f][c] layout, reused across calls.
+     * reducePartials sums the slabs into dst in chunk order with the
+     * vectorized axpy.
      */
-    float *acquirePartials(int workers, std::int64_t w_count) const;
-    bool claimWorkerSlab(int worker) const;
-    void reducePartials(int workers, std::int64_t w_count,
+    void reducePartials(std::int64_t slabs, std::int64_t w_count,
                         float *dst) const;
 
     std::int64_t featureTile;
-
-  private:
     mutable AlignedBuffer<float> partialDw_;
-    mutable std::vector<unsigned char> partialUsed_;
-};
-
-/**
- * Encode-once variant of the sparse BP engine (the "fast path" of the
- * goodput axis): the error gradients are compressed to CT-CSR ONCE per
- * minibatch via SparsePlanCache — with the fused CtCsrMatrix::fromChw
- * builder, so the dense HWC staging transpose is never written — and
- * BP-data and BP-weights replay the same shared read-only plan.
- * Results are bit-for-bit identical to SparseBpEngine (same non-zero
- * replay order).
- */
-class SparseBpCachedEngine : public SparseBpEngine
-{
-  public:
-    explicit SparseBpCachedEngine(std::int64_t feature_tile = 0)
-        : SparseBpEngine(feature_tile)
-    {}
-
-    using SparseBpEngine::backwardData;
-    using SparseBpEngine::backwardWeights;
-
-    std::string name() const override { return "sparse-cached"; }
-
-    void backwardData(const ConvSpec &spec, const Tensor &eo,
-                      const Tensor &weights, Tensor &ei, ThreadPool &pool,
-                      const BpMask &mask) const override;
-    void backwardWeights(const ConvSpec &spec, const Tensor &eo,
-                         const Tensor &in, Tensor &dweights,
-                         ThreadPool &pool,
-                         const BpMask &mask) const override;
 };
 
 } // namespace spg

@@ -3,9 +3,8 @@
  * Register-tiled direct sparse convolution over CSR weights
  * (extension).
  *
- * Successor of the row-AXPY sparse-weights engine for pruned models
- * (Park et al., "Faster CNNs with Direct Sparse Convolutions and
- * Guided Pruning", PAPERS.md). The weights are encoded once per
+ * The FP engine for pruned models (Park et al., "Faster CNNs with
+ * Direct Sparse Convolutions and Guided Pruning", PAPERS.md). The weights are encoded once per
  * weight version into a SparseWeightPlan held by the persistent
  * PackedWeightCache (rows = output features, columns = flattened
  * (c, ky, kx) taps, plus precomputed input offsets), so steady-state
@@ -13,7 +12,7 @@
  * invalidation plus the cache's FNV-1a content fingerprint re-encode
  * exactly when a pruning step or SGD update changes the weights.
  *
- * The kernel inverts the AXPY engine's loop nest: instead of
+ * The kernel inverts the row-AXPY loop nest: instead of
  * accumulating every non-zero tap into the output plane (one
  * read-modify-write of the plane per tap), it keeps a register tile
  * of output PIXELS in double-precision accumulators, streams the

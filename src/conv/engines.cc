@@ -13,7 +13,6 @@ makeAllEngines()
     engines.push_back(std::make_unique<StencilEngine>());
     engines.push_back(std::make_unique<DirectEngine>());
     engines.push_back(std::make_unique<SparseBpEngine>());
-    engines.push_back(std::make_unique<SparseBpCachedEngine>());
     return engines;
 }
 
@@ -21,9 +20,7 @@ std::vector<std::unique_ptr<ConvEngine>>
 makeExtendedEngines()
 {
     auto engines = makeAllEngines();
-    engines.push_back(std::make_unique<SparseWeightsFpEngine>());
     engines.push_back(std::make_unique<SparseDirectFpEngine>());
-    engines.push_back(std::make_unique<FftConvEngine>());
     engines.push_back(std::make_unique<WinogradEngine>());
     return engines;
 }
@@ -45,16 +42,10 @@ makeEngine(const std::string &name)
         return std::make_unique<StencilEngine>();
     if (name == "direct")
         return std::make_unique<DirectEngine>();
-    if (name == "sparse")
-        return std::make_unique<SparseBpEngine>();
     if (name == "sparse-cached")
-        return std::make_unique<SparseBpCachedEngine>();
-    if (name == "sparse-weights")
-        return std::make_unique<SparseWeightsFpEngine>();
+        return std::make_unique<SparseBpEngine>();
     if (name == "sparse-weights-direct")
         return std::make_unique<SparseDirectFpEngine>();
-    if (name == "fft")
-        return std::make_unique<FftConvEngine>();
     if (name == "winograd")
         return std::make_unique<WinogradEngine>();
     return nullptr;

@@ -11,12 +11,10 @@
 
 #include "conv/engine.hh"
 #include "conv/engine_direct.hh"
-#include "conv/engine_fft.hh"
 #include "conv/engine_gemm.hh"
 #include "conv/engine_gemm_packed.hh"
 #include "conv/engine_sparse.hh"
 #include "conv/engine_sparse_direct.hh"
-#include "conv/engine_sparse_weights.hh"
 #include "conv/engine_stencil.hh"
 #include "conv/engine_winograd.hh"
 
@@ -26,14 +24,14 @@ namespace spg {
  * @return one instance of every paper-set production engine (excludes
  * the reference oracle and extensions): parallel-gemm,
  * gemm-in-parallel, their packed-operand variants, stencil, direct,
- * sparse.
+ * sparse-cached.
  */
 std::vector<std::unique_ptr<ConvEngine>> makeAllEngines();
 
 /**
- * @return the paper-set engines plus extensions (the two
- * weight-sparsity FP engines, the FFT FP engine and Winograd) — the
- * candidate set for tuning pruned or large-kernel models.
+ * @return the paper-set engines plus extensions (the weight-sparsity
+ * FP engine sparse-weights-direct and Winograd) — the candidate set
+ * for tuning pruned models.
  */
 std::vector<std::unique_ptr<ConvEngine>> makeExtendedEngines();
 
@@ -41,8 +39,7 @@ std::vector<std::unique_ptr<ConvEngine>> makeExtendedEngines();
  * @return the engine with the given name(), or nullptr when unknown.
  * Recognized names: "reference", "parallel-gemm", "gemm-in-parallel",
  * "parallel-gemm-packed", "gemm-in-parallel-packed", "stencil",
- * "direct", "sparse", "sparse-weights", "sparse-weights-direct",
- * "fft", "winograd".
+ * "direct", "sparse-cached", "sparse-weights-direct", "winograd".
  */
 std::unique_ptr<ConvEngine> makeEngine(const std::string &name);
 

@@ -44,7 +44,7 @@ namespace spg {
 
 /**
  * Weights of one conv layer compressed for the weight-sparse FP
- * engines: CSR with rows = output features and columns = flattened
+ * engine: CSR with rows = output features and columns = flattened
  * (c, ky, kx) taps, plus the tap's precomputed input-plane offset
  *
  *     in_off[p] = c * ny * nx + ky * nx + kx

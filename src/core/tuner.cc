@@ -63,14 +63,12 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
     bool encode_once = engine.name() == "sparse-cached";
     SparsePlanCache &plans = SparsePlanCache::global();
     SparsePlanCache::Stats before = plans.stats();
-    // The CSR-weights FP engines encode once per WEIGHT VERSION, not
+    // The CSR-weights FP engine encodes once per WEIGHT VERSION, not
     // per call: production amortizes the encode across a whole prune
     // interval, so the timed reps below run warm and the encode is
     // measured separately by one cold call up front.
-    bool wsparse_once =
-        phase == Phase::Forward &&
-        (engine.name() == "sparse-weights" ||
-         engine.name() == "sparse-weights-direct");
+    bool wsparse_once = phase == Phase::Forward &&
+                        engine.name() == "sparse-weights-direct";
     PoolStats sched_before = pool.stats();
 
     // When the layer will run with a fused ReLU, measure that path: FP
@@ -253,6 +251,10 @@ Tuner::tunePhases(LayerPlan &plan, const std::vector<Phase> &phases,
         verbose("tuned conv %s %s -> %s (%.3f ms)", spec.str().c_str(),
                 phaseName(phase), best_name.c_str(), best * 1e3);
     }
+    // The sparse BP measurements left CT-CSR plans keyed on this
+    // function's own EO; it is about to be freed, so nothing would
+    // ever hit or replace them.
+    SparsePlanCache::global().invalidate(eo.data());
 }
 
 LayerPlan

@@ -32,7 +32,7 @@ struct EngineTiming
     /** Encode share attributable to this engine, in seconds (the
      *  encode-once engines only; zero when the phase replayed a
      *  cached plan). For "sparse-cached" this is the per-call CT-CSR
-     *  encode inside `seconds`; for the CSR-weights FP engines it is
+     *  encode inside `seconds`; for the CSR-weights FP engine it is
      *  the once-per-weight-version encode measured OUTSIDE the timed
      *  reps — production amortizes it across a whole prune interval,
      *  so `seconds` is the steady-state warm cost. */
@@ -122,8 +122,8 @@ struct TunerOptions
     int retune_interval = 2;
     /** Sparsity change that forces a re-tune regardless of interval. */
     double sparsity_drift = 0.10;
-    /** Also consider the extension engines (winograd, fft,
-     *  sparse-weights) as candidates. */
+    /** Also consider the extension engines (sparse-weights-direct,
+     *  winograd) as candidates. */
     bool use_extensions = false;
 };
 
@@ -148,7 +148,7 @@ class Tuner
      *        saved byte mask applied to the error gradients.
      * @param weight_sparsity Zero fraction of the layer's weights —
      *        the synthetic weight tensor is sparsified to it so the
-     *        CSR-weights FP engines are measured at the sparsity they
+     *        CSR-weights FP engine is measured at the sparsity it
      *        would actually run at (Fig. 4-style crossover).
      */
     LayerPlan tune(const ConvSpec &spec, double sparsity, ThreadPool &pool,

@@ -163,7 +163,7 @@ loadCheckpoint(Network &net, std::istream &in)
     // weights once (the saved weights are already zero where masked,
     // but a checkpoint written mid-step could disagree) and drop it.
     // The network then serves plain dense-with-zeros weights, and the
-    // CSR-weights engines still see the real sparsity.
+    // CSR-weights engine still sees the real sparsity.
     if (net.forwardOnly()) {
         for (std::size_t i = 0; i < net.layerCount(); ++i) {
             Layer &layer = net.layer(i);

@@ -136,7 +136,7 @@ class Trainer
      * phase, joining the measured per-step time against the simcpu
      * prediction for the engine that actually ran (on a host-calibrated
      * machine model at the pool's core count). Engines the model does
-     * not cover (fft, winograd, ...) are skipped.
+     * not cover (winograd, the reference) are skipped.
      */
     const obs::DriftReport &driftReport() const { return drift; }
 

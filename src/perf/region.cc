@@ -41,7 +41,7 @@ recommendTechniques(const ConvSpec &spec, double sparsity,
         choice.fp = "gemm-in-parallel";
 
     if (sparsity >= thresholds.sparse_threshold)
-        choice.bp = "sparse";
+        choice.bp = "sparse-cached";
     else if (spec.nf >= thresholds.high_feature_count)
         choice.bp = "parallel-gemm";
     else

@@ -147,6 +147,16 @@ modelGemmInParallelMm(const MachineModel &machine, std::int64_t m,
     return simulateUniform(machine, task, batch, cores);
 }
 
+bool
+modelsEngine(const std::string &engine)
+{
+    return engine == "parallel-gemm" || engine == "parallel-gemm-packed" ||
+           engine == "gemm-in-parallel" ||
+           engine == "gemm-in-parallel-packed" || engine == "stencil" ||
+           engine == "direct" || engine == "sparse-cached" ||
+           engine == "sparse-weights-direct";
+}
+
 SimResult
 modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
                Phase phase, const std::string &engine, std::int64_t batch,
@@ -279,26 +289,19 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
         return scheduleImages(task, useful_one * batch);
     }
 
-    if (engine == "sparse" || engine == "sparse-cached") {
+    if (engine == "sparse-cached") {
         SPG_ASSERT(phase != Phase::Forward);
         double eo = spec.outputElems();
         double nnz = (1.0 - sparsity) * eo;
         double flops = 2.0 * nnz * spec.fy * spec.fx * spec.nc;
         double elems;
         if (phase == Phase::BackwardData) {
-            // sparse: EO transform (r+w) + CSR build (r EO', w 2nnz).
-            // sparse-cached: fingerprint (r EO) + fused two-pass
-            // CHW->CT-CSR build (counts r EO + fill r EO, w 2nnz) —
-            // the dense HWC staging round trip is gone, but the fused
-            // builder reads the source twice, so the totals coincide.
-            // Both: + W' transform (~3|W|) + EI staging (zero+write+
-            // readback+write = 4|EI|).
+            // Fingerprint (r EO) + fused two-pass CHW->CT-CSR build
+            // (counts r EO + fill r EO, w 2nnz) + W' transform
+            // (~3|W|) + EI staging (zero+write+readback+write =
+            // 4|EI|).
             elems = 3.0 * eo + 2.0 * nnz + 3.0 * spec.weightElems() +
                     4.0 * spec.inputElems();
-        } else if (engine == "sparse") {
-            // Re-encodes EO from scratch, same as BP-data.
-            elems = 3.0 * eo + 2.0 * nnz + 3.0 * spec.inputElems() +
-                    4.0 * spec.weightElems();
         } else {
             // Encode-once: BP-weights replays the plan built by
             // BP-data, so the encode traffic is charged ONCE per
@@ -307,10 +310,8 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
             elems = eo + 2.0 * nnz + 3.0 * spec.inputElems() +
                     4.0 * spec.weightElems();
         }
-        // Mask-fused encode (sparse-cached) only reads the byte mask
-        // alongside EO; the plain sparse engine stages a masked copy.
-        elems += engine == "sparse-cached" ? fused_mask_elems
-                                           : fused_stage_elems;
+        // The mask-fused encode only reads the byte mask alongside EO.
+        elems += fused_mask_elems;
         SimTask task;
         task.flops = flops;
         task.bytes = kFloat * elems;
@@ -395,15 +396,18 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
         return scheduleImages(task, useful_one * batch);
     }
 
-    if (engine == "sparse-weights" || engine == "sparse-weights-direct") {
-        // CSR-weights FP engines: compute and weight traffic scale with
+    if (engine == "sparse-weights-direct") {
+        // CSR-weights FP engine: compute and weight traffic scale with
         // the surviving taps. The encode is once per weight version and
         // amortized across a whole prune interval, so the steady-state
         // model charges only the plan read: value + input-offset per
         // nnz (2 elements under the AIT convention). The input image is
         // re-streamed once per output feature unless it stays
         // L2-resident beside an output plane (same reuse condition as
-        // the dense stencil).
+        // the dense stencil). The output is register-tiled and written
+        // once; per-pixel double accumulation halves the vector FMA
+        // rate (bit-exactness with the reference, like the direct
+        // engine's FP tile).
         SPG_ASSERT(phase == Phase::Forward);
         double taps = static_cast<double>(spec.nc) * spec.fy * spec.fx;
         double nnz = (1.0 - weight_sparsity) *
@@ -415,23 +419,12 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
         double in_reload =
             (in_bytes + out_plane <= machine.l2_bytes) ? 1.0
                                                        : spec.nf;
-        double elems = in_reload * spec.inputElems() + 2.0 * nnz;
+        double elems = in_reload * spec.inputElems() + 2.0 * nnz +
+                       spec.outputElems() + fused_fp_elems;
         SimTask task;
-        if (engine == "sparse-weights-direct") {
-            // Register-tiled, write-once output; per-pixel double
-            // accumulation halves the vector FMA rate (bit-exactness
-            // with the reference, like the direct engine's FP tile).
-            elems += spec.outputElems();
-            task.efficiency = 0.5 * machine.stencil_efficiency;
-        } else {
-            // Row-AXPY into a zeroed output plane: memset + per-tap
-            // read-modify-write makes the output round-trip.
-            elems += 2.0 * spec.outputElems();
-            task.efficiency = machine.axpy_efficiency;
-        }
-        elems += fused_fp_elems;
         task.flops = flops;
         task.bytes = kFloat * elems;
+        task.efficiency = 0.5 * machine.stencil_efficiency;
         // Goodput: every executed FLOP lands on a surviving tap.
         return scheduleImages(task, flops * batch);
     }

@@ -60,13 +60,19 @@ SimResult modelGemmInParallelMm(const MachineModel &machine,
                                 int cores);
 
 /**
+ * @return whether modelConvPhase() has a performance model for the
+ * engine with this name() — the paper engines and
+ * sparse-weights-direct; winograd and the reference have none.
+ */
+bool modelsEngine(const std::string &engine);
+
+/**
  * Full engine execution of one layer phase over a minibatch.
  *
  * @param machine Modeled machine.
  * @param spec Layer geometry.
  * @param phase FP / BP-data / BP-weights.
- * @param engine Engine name ("parallel-gemm", "gemm-in-parallel",
- *        "stencil", "direct", "sparse").
+ * @param engine Engine name; must satisfy modelsEngine().
  * @param batch Minibatch size.
  * @param cores Active cores.
  * @param sparsity Fraction of zeros in the output-error gradients
@@ -74,7 +80,7 @@ SimResult modelGemmInParallelMm(const MachineModel &machine,
  * @param chunk_map Optional MEASURED per-core item counts (e.g.
  *        EngineTiming::chunk_map recorded by the tuner). When given,
  *        the image-parallel engines (gemm-in-parallel, stencil,
- *        direct, sparse) charge this schedule via simulateScheduled()
+ *        direct, sparse-cached) charge this schedule via simulateScheduled()
  *        instead
  *        of an idealized even split; its size overrides `cores`.
  *        Parallel-GEMM partitions a single MM rather than scheduling
@@ -85,9 +91,9 @@ SimResult modelGemmInParallelMm(const MachineModel &machine,
  *        only the mask read. The standalone elementwise ReLU pass the
  *        fusion eliminates (see modelReluPassSeconds) is NOT charged.
  * @param weight_sparsity Zero fraction of the weight tensor — consumed
- *        by the CSR-weights FP engines ("sparse-weights",
- *        "sparse-weights-direct"), whose compute and weight traffic
- *        scale with the surviving taps. Ignored by the dense engines.
+ *        by the CSR-weights FP engine ("sparse-weights-direct"), whose
+ *        compute and weight traffic scale with the surviving taps.
+ *        Ignored by the dense engines.
  * @return Simulated result; useful_flops reflects goodput (non-zero
  *         work) for BP phases.
  */

@@ -115,7 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
                           std::string("parallel-gemm-packed"),
                           std::string("gemm-in-parallel-packed"),
                           std::string("stencil"), std::string("direct"),
-                          std::string("sparse"),
                           std::string("sparse-cached")),
         ::testing::Values(0.0, 0.85, 0.99)),
     [](const auto &info) {
@@ -135,13 +134,21 @@ TEST(ConvEngines, RegistryKnowsAllNames)
     for (const char *name :
          {"reference", "parallel-gemm", "gemm-in-parallel",
           "parallel-gemm-packed", "gemm-in-parallel-packed", "stencil",
-          "direct", "sparse", "sparse-cached"}) {
+          "direct", "sparse-cached", "sparse-weights-direct",
+          "winograd"}) {
         auto e = makeEngine(name);
         ASSERT_NE(e, nullptr) << name;
         EXPECT_EQ(e->name(), name);
     }
+    // Every registered engine resolves by its own name.
+    for (const auto &engine : makeExtendedEngines())
+        EXPECT_NE(makeEngine(engine->name()), nullptr) << engine->name();
     EXPECT_EQ(makeEngine("no-such-engine"), nullptr);
-    EXPECT_EQ(makeAllEngines().size(), 8u);
+    // Deleted engines stay deleted.
+    for (const char *gone : {"fft", "sparse", "sparse-weights"})
+        EXPECT_EQ(makeEngine(gone), nullptr) << gone;
+    EXPECT_EQ(makeAllEngines().size(), 7u);
+    EXPECT_EQ(makeExtendedEngines().size(), 9u);
 }
 
 TEST(ConvEngines, PhaseSupportMatrix)
@@ -151,9 +158,6 @@ TEST(ConvEngines, PhaseSupportMatrix)
         makeEngine("parallel-gemm")->supports(Phase::BackwardData));
     EXPECT_TRUE(makeEngine("stencil")->supports(Phase::Forward));
     EXPECT_FALSE(makeEngine("stencil")->supports(Phase::BackwardData));
-    EXPECT_FALSE(makeEngine("sparse")->supports(Phase::Forward));
-    EXPECT_TRUE(makeEngine("sparse")->supports(Phase::BackwardData));
-    EXPECT_TRUE(makeEngine("sparse")->supports(Phase::BackwardWeights));
     EXPECT_FALSE(makeEngine("sparse-cached")->supports(Phase::Forward));
     EXPECT_TRUE(
         makeEngine("sparse-cached")->supports(Phase::BackwardData));
@@ -227,12 +231,11 @@ TEST(ConvEngines, PackedEngineSeesInPlaceWeightMutation)
     PackedWeightCache::global().clear();
 }
 
-TEST(ConvEngines, SparseCachedMatchesSparseBitForBit)
+TEST(ConvEngines, SparseCachedMatchesReferenceEncodingOnce)
 {
-    // The encode-once engine builds its CT-CSR plan with the fused
-    // CHW builder and replays it for both BP phases; the replay order
-    // is identical to the per-call encoder, so results must be EXACTLY
-    // equal, not just close.
+    // The engine builds its CT-CSR plan once, in BP-data, and replays
+    // it for BP-weights: both phases must match the reference oracle,
+    // with exactly one encode and one cache hit.
     SparsePlanCache::global().clear();
     SparsePlanCache::global().resetStats();
     ConvSpec spec{14, 12, 3, 7, 3, 3, 1, 1};
@@ -247,20 +250,22 @@ TEST(ConvEngines, SparseCachedMatchesSparseBitForBit)
     eo.fillUniform(rng);
     eo.sparsify(rng, 0.9);
 
-    auto plain = makeEngine("sparse");
+    ReferenceEngine ref;
     auto cached = makeEngine("sparse-cached");
 
-    Tensor ei_a(Shape{batch, spec.nc, spec.ny, spec.nx});
-    Tensor ei_b(Shape{batch, spec.nc, spec.ny, spec.nx});
-    plain->backwardData(spec, eo, w, ei_a, pool);
-    cached->backwardData(spec, eo, w, ei_b, pool);
-    EXPECT_EQ(maxAbsDiff(ei_a, ei_b), 0.0f) << "BP-data";
+    Tensor ei_ref(Shape{batch, spec.nc, spec.ny, spec.nx});
+    Tensor ei(Shape{batch, spec.nc, spec.ny, spec.nx});
+    ref.backwardData(spec, eo, w, ei_ref, pool);
+    cached->backwardData(spec, eo, w, ei, pool);
+    EXPECT_TRUE(allClose(ei, ei_ref, 1e-3f, 1e-4f))
+        << "BP-data maxdiff=" << maxAbsDiff(ei, ei_ref);
 
-    Tensor dw_a(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    Tensor dw_b(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    plain->backwardWeights(spec, eo, in, dw_a, pool);
-    cached->backwardWeights(spec, eo, in, dw_b, pool);
-    EXPECT_EQ(maxAbsDiff(dw_a, dw_b), 0.0f) << "BP-weights";
+    Tensor dw_ref(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+    Tensor dw(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+    ref.backwardWeights(spec, eo, in, dw_ref, pool);
+    cached->backwardWeights(spec, eo, in, dw, pool);
+    EXPECT_TRUE(allClose(dw, dw_ref, 1e-3f, 1e-3f))
+        << "BP-weights maxdiff=" << maxAbsDiff(dw, dw_ref);
 
     // BP-data encoded once; BP-weights reused the plan.
     SparsePlanCache::Stats stats = SparsePlanCache::global().stats();
@@ -364,6 +369,41 @@ TEST(ConvEngines, FullySparseErrorsYieldZeroGradients)
     dw.fill(321.0f);
     eng.backwardWeights(spec, eo, in, dw, pool);
     EXPECT_EQ(dw.maxAbs(), 0.0f);
+}
+
+TEST(ConvEngines, BackwardWeightsRepeatsBitForBitUnderWorkStealing)
+{
+    // Batch-parallel engines sum per-chunk partial gradients; the sum
+    // must not depend on which worker claimed which images, so many
+    // calls on one pool (with a batch that does not divide evenly
+    // into the threads) give identical bits.
+    ConvSpec spec{9, 9, 3, 4, 3, 3, 1, 1};
+    constexpr std::int64_t kBatch = 7;
+    ThreadPool pool(4);
+    Rng rng(10);
+    Tensor in(Shape{kBatch, spec.nc, spec.ny, spec.nx});
+    Tensor eo(Shape{kBatch, spec.nf, spec.outY(), spec.outX()});
+    in.fillUniform(rng);
+    eo.fillUniform(rng);
+    eo.sparsify(rng, 0.5);
+
+    for (const auto &engine : makeExtendedEngines()) {
+        if (!engine->supports(Phase::BackwardWeights) ||
+            !engine->supportsGeometry(spec)) {
+            continue;
+        }
+        Tensor first(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+        engine->backwardWeights(spec, eo, in, first, pool);
+        for (int rep = 0; rep < 50; ++rep) {
+            Tensor dw(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+            engine->backwardWeights(spec, eo, in, dw, pool);
+            for (std::int64_t i = 0; i < dw.size(); ++i) {
+                ASSERT_EQ(dw.data()[i], first.data()[i])
+                    << engine->name() << " rep " << rep << " index " << i;
+            }
+        }
+    }
+    SparsePlanCache::global().invalidate(eo.data());
 }
 
 TEST(ConvSpecModel, Table1AitValues)

@@ -470,7 +470,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::string("gemm-in-parallel"),
                                          std::string("stencil"),
                                          std::string("direct"),
-                                         std::string("sparse"))),
+                                         std::string("sparse-cached"))),
     [](const auto &info) {
         std::string name = "spec" +
                            std::to_string(std::get<0>(info.param)) + "_" +

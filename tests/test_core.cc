@@ -11,6 +11,7 @@
 #include "core/net_config.hh"
 #include "core/tuner.hh"
 #include "data/suites.hh"
+#include "sparse/sparse_plan.hh"
 
 namespace spg {
 namespace {
@@ -91,7 +92,7 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     EXPECT_FALSE(plan.fp_engine.empty());
     EXPECT_FALSE(plan.bp_data_engine.empty());
     EXPECT_FALSE(plan.bp_weights_engine.empty());
-    EXPECT_NE(plan.fp_engine, "sparse");       // sparse is BP-only
+    EXPECT_NE(plan.fp_engine, "sparse-cached"); // sparse is BP-only
     EXPECT_NE(plan.bp_data_engine, "stencil"); // stencil is FP-only
     EXPECT_DOUBLE_EQ(plan.tuned_sparsity, 0.9);
 
@@ -99,9 +100,9 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     // variants, stencil, and direct.
     EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 6u);
     // BP candidates: parallel-gemm, gemm-in-parallel, the packed
-    // variants, direct, sparse, and sparse-cached.
-    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 7u);
-    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 7u);
+    // variants, direct, and sparse-cached.
+    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 6u);
+    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 6u);
     for (const auto &[phase, timings] : plan.timings) {
         for (const auto &timing : timings)
             EXPECT_GT(timing.seconds, 0.0) << phaseName(phase);
@@ -210,6 +211,31 @@ TEST(Tuner, RetuneBpCarriesFpForward)
               first.timings.at(Phase::BackwardWeights).size());
 }
 
+TEST(Tuner, LeavesNoSparsePlansBehind)
+{
+    // The sparse BP measurements encode CT-CSR plans of the tuner's
+    // own synthetic EO; once that tensor is freed nothing can hit or
+    // replace them, so the tuner must drop them itself.
+    TunerOptions opts;
+    opts.reps = 1;
+    opts.batch = 2;
+    Tuner tuner(opts);
+    ThreadPool pool(2);
+    ConvSpec spec{12, 12, 3, 8, 3, 3, 1, 1};
+    SparsePlanCache &plans = SparsePlanCache::global();
+    plans.clear();
+    for (bool fused_relu : {false, true}) {
+        std::int64_t encodes = plans.stats().encodes;
+        LayerPlan plan = tuner.tune(spec, 0.9, pool, fused_relu);
+        EXPECT_GT(plans.stats().encodes, encodes) << fused_relu;
+        EXPECT_EQ(plans.size(), 0u) << "tune, fused " << fused_relu;
+
+        encodes = plans.stats().encodes;
+        tuner.retuneBp(plan, spec, 0.8, pool, fused_relu);
+        EXPECT_GT(plans.stats().encodes, encodes) << fused_relu;
+        EXPECT_EQ(plans.size(), 0u) << "retuneBp, fused " << fused_relu;
+    }
+}
 
 TEST(Tuner, ExtensionsRespectGeometryGates)
 {
@@ -232,14 +258,16 @@ TEST(Tuner, ExtensionsRespectGeometryGates)
     auto on3x3 = fp_engines(ConvSpec{10, 10, 2, 3, 3, 3, 1, 1});
     EXPECT_NE(std::find(on3x3.begin(), on3x3.end(), "winograd"),
               on3x3.end());
-    EXPECT_NE(std::find(on3x3.begin(), on3x3.end(), "fft"),
+    EXPECT_NE(std::find(on3x3.begin(), on3x3.end(),
+                        "sparse-weights-direct"),
               on3x3.end());
 
-    // 5x5: winograd must be skipped, fft stays.
+    // 5x5: winograd must be skipped; the ungated extension stays.
     auto on5x5 = fp_engines(ConvSpec{10, 10, 2, 3, 5, 5, 1, 1});
     EXPECT_EQ(std::find(on5x5.begin(), on5x5.end(), "winograd"),
               on5x5.end());
-    EXPECT_NE(std::find(on5x5.begin(), on5x5.end(), "fft"),
+    EXPECT_NE(std::find(on5x5.begin(), on5x5.end(),
+                        "sparse-weights-direct"),
               on5x5.end());
 }
 

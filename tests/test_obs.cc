@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <string>
@@ -101,14 +102,24 @@ TEST(Trace, SpansNestAcrossPoolWorkers)
     ThreadPool pool(4);
     {
         SPG_TRACE_SCOPE("test", "outer");
-        // Repeat the region, yielding inside each item, so on a
-        // single-core host the claiming thread cedes its timeslice and
-        // every pool worker gets a chance to wake up and record at
-        // least one participation span.
+        // The caller may steal every chunk before a parked worker
+        // wakes (likely on a loaded or single-core host), so items of
+        // the first round hold their thread until some worker has
+        // claimed an item, giving the pool a participation span on a
+        // second lane. The wait is bounded: a pool whose workers never
+        // join still fails the lane check below instead of hanging.
+        std::atomic<bool> worker_joined{false};
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
         for (int round = 0; round < 20; ++round) {
             pool.parallelFor2D(
-                8, 8, [&](std::int64_t, std::int64_t, int) {
+                8, 8, [&](std::int64_t, std::int64_t, int worker) {
                     SPG_TRACE_SCOPE("test", "inner");
+                    if (worker != 0)
+                        worker_joined.store(true);
+                    while (round == 0 && !worker_joined.load() &&
+                           std::chrono::steady_clock::now() < deadline)
+                        std::this_thread::yield();
                     std::this_thread::yield();
                 });
         }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conv/engines.hh"
 #include "data/suites.hh"
 #include "perf/region.hh"
 #include "perf/roofline.hh"
@@ -49,7 +50,7 @@ TEST(Region, RecommendationsFollowPaperRules)
     EXPECT_EQ(recommendTechniques(small, 0.0).fp, "stencil");
     EXPECT_EQ(recommendTechniques(mid, 0.0).fp, "gemm-in-parallel");
     EXPECT_EQ(recommendTechniques(big, 0.0).fp, "parallel-gemm");
-    EXPECT_EQ(recommendTechniques(mid, 0.85).bp, "sparse");
+    EXPECT_EQ(recommendTechniques(mid, 0.85).bp, "sparse-cached");
     EXPECT_EQ(recommendTechniques(mid, 0.5).bp, "gemm-in-parallel");
     EXPECT_EQ(recommendTechniques(big, 0.5).bp, "parallel-gemm");
 }
@@ -215,7 +216,7 @@ TEST(ConvModel, PhaseModelConsumesMeasuredSchedule)
     const std::pair<const char *, Phase> image_parallel[] = {
         {"gemm-in-parallel", Phase::Forward},
         {"stencil", Phase::Forward},
-        {"sparse", Phase::BackwardData}};
+        {"sparse-cached", Phase::BackwardData}};
     for (auto [engine, phase] : image_parallel) {
         double sparsity = phase == Phase::Forward ? 0.0 : 0.5;
         SimResult even = modelConvPhase(m, spec, phase, engine, batch,
@@ -306,8 +307,9 @@ TEST(ConvModel, SparseCrossoverNearPaperThreshold)
                                        "gemm-in-parallel", 64, 16,
                                        sparsity)
                             .seconds;
-                sparse += modelConvPhase(m, entry.spec, phase, "sparse",
-                                         64, 16, sparsity)
+                sparse += modelConvPhase(m, entry.spec, phase,
+                                         "sparse-cached", 64, 16,
+                                         sparsity)
                               .seconds;
             }
             return gemm / sparse;
@@ -319,46 +321,6 @@ TEST(ConvModel, SparseCrossoverNearPaperThreshold)
     }
 }
 
-TEST(ConvModel, EncodeOnceSparseChargesEncodeTrafficOnce)
-{
-    // The encode-once engine pays the CT-CSR build in BP-data (the
-    // fused builder trades the HWC staging round trip for a second
-    // source read, so that phase models identically) and only the
-    // fingerprint check + plan read in BP-weights. The traffic saving
-    // only shows in modeled TIME when the phase is memory-bound, so we
-    // require a strict win on at least one layer at extreme sparsity
-    // and no regression anywhere.
-    MachineModel m = MachineModel::xeonE5_2650();
-    int strict_wins = 0;
-    for (const auto &entry : table1Convolutions()) {
-        for (double sparsity : {0.5, 0.9, 0.99}) {
-            double d_plain =
-                modelConvPhase(m, entry.spec, Phase::BackwardData,
-                               "sparse", 64, 16, sparsity)
-                    .seconds;
-            double d_cached =
-                modelConvPhase(m, entry.spec, Phase::BackwardData,
-                               "sparse-cached", 64, 16, sparsity)
-                    .seconds;
-            EXPECT_DOUBLE_EQ(d_cached, d_plain) << "ID " << entry.id;
-
-            double w_plain =
-                modelConvPhase(m, entry.spec, Phase::BackwardWeights,
-                               "sparse", 64, 16, sparsity)
-                    .seconds;
-            double w_cached =
-                modelConvPhase(m, entry.spec, Phase::BackwardWeights,
-                               "sparse-cached", 64, 16, sparsity)
-                    .seconds;
-            EXPECT_LE(w_cached, w_plain)
-                << "ID " << entry.id << " s=" << sparsity;
-            if (sparsity == 0.99 && w_cached < w_plain)
-                ++strict_wins;
-        }
-    }
-    EXPECT_GT(strict_wins, 0);
-}
-
 TEST(ConvModel, GoodputDropsAtExtremeSparsity)
 {
     // The Fig. 4e shape: goodput holds to ~90% sparsity, then the
@@ -366,12 +328,46 @@ TEST(ConvModel, GoodputDropsAtExtremeSparsity)
     MachineModel m = MachineModel::xeonE5_2650();
     const auto &entry = table1Convolutions()[2];
     double at_half = modelConvPhase(m, entry.spec, Phase::BackwardData,
-                                    "sparse", 64, 16, 0.5)
+                                    "sparse-cached", 64, 16, 0.5)
                          .goodput();
     double at_99 = modelConvPhase(m, entry.spec, Phase::BackwardData,
-                                  "sparse", 64, 16, 0.99)
+                                  "sparse-cached", 64, 16, 0.99)
                        .goodput();
     EXPECT_LT(at_99, 0.7 * at_half);
+}
+
+TEST(ConvModel, ModelsEngineAgreesWithPhaseModel)
+{
+    // modelsEngine() is the one list of engines modelConvPhase()
+    // covers: every registered engine it names must model each phase
+    // it supports, and every other one must hit the panic.
+    MachineModel m = MachineModel::xeonE5_2650();
+    ConvSpec spec = ConvSpec::square(16, 16, 8, 3);
+    int modeled = 0;
+    for (const auto &engine : makeExtendedEngines()) {
+        const std::string name = engine->name();
+        ASSERT_TRUE(engine->supportsGeometry(spec)) << name;
+        for (Phase phase : {Phase::Forward, Phase::BackwardData,
+                            Phase::BackwardWeights}) {
+            if (!engine->supports(phase))
+                continue;
+            if (modelsEngine(name)) {
+                SimResult r =
+                    modelConvPhase(m, spec, phase, name, 4, 2, 0.5);
+                EXPECT_GT(r.seconds, 0.0) << name << " "
+                                          << phaseName(phase);
+            } else {
+                EXPECT_DEATH(modelConvPhase(m, spec, phase, name, 4, 2),
+                             "no performance model")
+                    << name;
+            }
+        }
+        modeled += modelsEngine(name);
+    }
+    // Everything but winograd.
+    EXPECT_EQ(modeled, 8);
+    EXPECT_FALSE(modelsEngine("winograd"));
+    EXPECT_FALSE(modelsEngine("reference"));
 }
 
 TEST(ConvModel, LayerStepComposesPhases)
@@ -410,8 +406,8 @@ TEST(ConvModel, Fig8ShapeInvariants)
             bp_base += modelConvPhase(m, entry.spec, phase,
                                       "parallel-gemm", 64, 16, 0.85)
                            .seconds;
-            bp_sparse += modelConvPhase(m, entry.spec, phase, "sparse",
-                                        64, 16, 0.85)
+            bp_sparse += modelConvPhase(m, entry.spec, phase,
+                                        "sparse-cached", 64, 16, 0.85)
                              .seconds;
         }
         EXPECT_GT(bp_base / bp_sparse, 2.0)

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the weight-sparsity FP engines (extension): the row-AXPY
- * "sparse-weights" engine and the register-tiled
- * "sparse-weights-direct" engine, plus the once-per-weight-version
- * CSR plan cache both share.
+ * Tests for the weight-sparsity FP engine (extension): the
+ * register-tiled "sparse-weights-direct" engine and its
+ * once-per-weight-version CSR plan cache.
  */
 
 #include <gtest/gtest.h>
@@ -34,27 +33,6 @@ class SparseWeightsSweep
         return specs[std::get<0>(GetParam())];
     }
 };
-
-TEST_P(SparseWeightsSweep, MatchesReference)
-{
-    const ConvSpec &s = spec();
-    double w_sparsity = std::get<1>(GetParam());
-    ThreadPool pool(2);
-    Rng rng(700 + std::get<0>(GetParam()));
-
-    Tensor in(Shape{2, s.nc, s.ny, s.nx});
-    Tensor w(Shape{s.nf, s.nc, s.fy, s.fx});
-    in.fillUniform(rng);
-    w.fillUniform(rng);
-    w.sparsify(rng, w_sparsity);
-
-    Tensor ref(Shape{2, s.nf, s.outY(), s.outX()});
-    Tensor got(Shape{2, s.nf, s.outY(), s.outX()});
-    ReferenceEngine().forward(s, in, w, ref, pool);
-    SparseWeightsFpEngine().forward(s, in, w, got, pool);
-    EXPECT_TRUE(allClose(got, ref, 1e-3f, 1e-4f))
-        << "maxdiff=" << maxAbsDiff(got, ref);
-}
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SparseWeightsSweep,
@@ -204,14 +182,8 @@ TEST_P(WeightPlanCacheTest, EncodesOncePerWeightVersion)
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, WeightPlanCacheTest,
-                         ::testing::Values("sparse-weights",
-                                           "sparse-weights-direct"),
-                         [](const auto &info) {
-                             return info.param ==
-                                            std::string("sparse-weights")
-                                        ? "axpy"
-                                        : "direct";
-                         });
+                         ::testing::Values("sparse-weights-direct"),
+                         [](const auto &) { return "direct"; });
 
 TEST(SparseWeights, AllZeroWeightsGiveZeroOutput)
 {
@@ -223,23 +195,20 @@ TEST(SparseWeights, AllZeroWeightsGiveZeroOutput)
     Tensor w(Shape{s.nf, s.nc, s.fy, s.fx});  // zeros
     Tensor out(Shape{1, s.nf, s.outY(), s.outX()});
     out.fill(7.0f);
-    SparseWeightsFpEngine().forward(s, in, w, out, pool);
+    SparseDirectFpEngine().forward(s, in, w, out, pool);
     EXPECT_EQ(out.maxAbs(), 0.0f);
 }
 
 TEST(SparseWeights, RegistryIntegration)
 {
-    for (const char *name : {"sparse-weights", "sparse-weights-direct"}) {
-        auto engine = makeEngine(name);
-        ASSERT_NE(engine, nullptr) << name;
-        EXPECT_EQ(engine->name(), name);
-        EXPECT_TRUE(engine->supports(Phase::Forward));
-        EXPECT_FALSE(engine->supports(Phase::BackwardData));
-        EXPECT_FALSE(engine->supports(Phase::BackwardWeights));
-    }
-    // Extended set = paper set + sparse-weights, sparse-weights-direct,
-    // fft, winograd.
-    EXPECT_EQ(makeExtendedEngines().size(), makeAllEngines().size() + 4);
+    auto engine = makeEngine("sparse-weights-direct");
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->name(), "sparse-weights-direct");
+    EXPECT_TRUE(engine->supports(Phase::Forward));
+    EXPECT_FALSE(engine->supports(Phase::BackwardData));
+    EXPECT_FALSE(engine->supports(Phase::BackwardWeights));
+    // Extended set = paper set + sparse-weights-direct, winograd.
+    EXPECT_EQ(makeExtendedEngines().size(), makeAllEngines().size() + 2);
 }
 
 TEST(SparseWeights, FasterWithPrunedWeights)
@@ -258,7 +227,7 @@ TEST(SparseWeights, FasterWithPrunedWeights)
     pruned_w.sparsify(prng, 0.95);
     Tensor out(Shape{2, s.nf, s.outY(), s.outX()});
 
-    SparseWeightsFpEngine engine;
+    SparseDirectFpEngine engine;
     auto time_of = [&](const Tensor &w) {
         engine.forward(s, in, w, out, pool);  // warm-up
         Stopwatch sw;

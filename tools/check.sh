@@ -82,7 +82,7 @@ if [[ $# -eq 0 ]]; then
 fi
 
 # Weight-sparsity crossover gate: regenerate the CSR-weights bench and
-# diff it against the committed baseline. The direct-vs-axpy speedups
+# diff it against the committed baseline. The direct-vs-dense speedups
 # are ratios of interleaved measurements so drift largely cancels, but
 # the dense-engine cells run a different code path from the sparse
 # ones, so the seconds tolerance stays wide. The encode_ms cells are

@@ -62,6 +62,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 
 #include "blas/gemm.hh"
@@ -333,16 +334,6 @@ obs::DriftReport
 servingDrift(const serve::Server &server, Network &net, int cores)
 {
     obs::DriftReport drift;
-    auto modeled = [](const std::string &engine) {
-        return engine == "parallel-gemm" ||
-               engine == "parallel-gemm-packed" ||
-               engine == "gemm-in-parallel" ||
-               engine == "gemm-in-parallel-packed" ||
-               engine == "stencil" || engine == "direct" ||
-               engine == "sparse-weights" ||
-               engine == "sparse-weights-direct";
-    };
-
     constexpr std::int64_t kDim = 256;
     std::vector<float> a(kDim * kDim, 1.0f), b(kDim * kDim, 0.5f),
         c(kDim * kDim, 0.0f);
@@ -359,7 +350,7 @@ servingDrift(const serve::Server &server, Network &net, int cores)
         const ServingLayerPlan &plan = plans[i];
         for (std::size_t bi = 0; bi < plan.buckets.size(); ++bi) {
             const std::string &engine = plan.fp_engines[bi];
-            if (!modeled(engine))
+            if (!modelsEngine(engine))
                 continue;
             const EngineTiming *timing = nullptr;
             for (const EngineTiming &t : plan.timings[bi])
@@ -579,7 +570,7 @@ cmdCounters(int argc, char **argv)
         {"gemm (model-parallel)", 0, "gemm-in-parallel", 0.0},
         {"stencil", 5, "stencil", 0.0},
         {"direct (NCHWc)", 0, "direct", 0.0},
-        {"sparse-weights (CSR)", 0, "sparse-weights", 0.9},
+        {"sparse-weights (CSR)", 0, "sparse-weights-direct", 0.9},
     };
 
     ThreadPool pool(static_cast<int>(cli.getInt("threads")));
@@ -854,10 +845,16 @@ int
 cmdEngines()
 {
     std::printf("paper-set engines:\n");
-    for (const auto &engine : makeAllEngines())
+    std::set<std::string> paper;
+    for (const auto &engine : makeAllEngines()) {
         std::printf("  %s\n", engine->name().c_str());
-    std::printf("extensions:\n  sparse-weights\n"
-                "  sparse-weights-direct\n  fft\n  winograd\n");
+        paper.insert(engine->name());
+    }
+    // Extensions: everything the extended set adds to the paper set.
+    std::printf("extensions:\n");
+    for (const auto &engine : makeExtendedEngines())
+        if (!paper.count(engine->name()))
+            std::printf("  %s\n", engine->name().c_str());
     std::printf("oracle:\n  reference\n");
     return 0;
 }
