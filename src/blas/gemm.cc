@@ -231,9 +231,10 @@ scaleC(std::int64_t m, std::int64_t n, float beta, float *c,
  * (pa / pb non-null, full-matrix panel layout per PackedMatrix docs),
  * in which case the corresponding pack step is skipped and panels are
  * addressed by the closed-form block offsets. Columns [jc0, jc1) of C
- * are computed; jc0 must be a multiple of kNc and jc1 either a
- * multiple of kNc or n (so packed-B block offsets stay valid) — plain
- * calls pass [0, n).
+ * are computed; jc0 must be a multiple of kNr and jc1 either a
+ * multiple of kNr or n — plain calls pass [0, n). Column blocks stay
+ * on the kNc grid of the whole matrix, so a sub-range addresses the
+ * packed-B panels of its block in place.
  *
  * When pa is set, alpha was baked into the panels at pack time and the
  * alpha argument is ignored.
@@ -252,23 +253,27 @@ gemmBlocked(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
             scaleC(1, jc1 - jc0, beta, c + i * ldc + jc0, ldc);
         return;
     }
-    SPG_ASSERT(jc0 % kNc == 0);
-    SPG_ASSERT(jc1 == n || jc1 % kNc == 0);
+    SPG_ASSERT(jc0 % kNr == 0);
+    SPG_ASSERT(jc1 == n || jc1 % kNr == 0);
 
     Scratch &s = scratch();
     s.ensure(pa ? 0 : static_cast<std::size_t>(kMc) * kKc,
              pb ? 0 : static_cast<std::size_t>(kKc) * kNc);
     std::int64_t m_padded = roundUpTo(m, kMr);
 
-    for (std::int64_t jc = jc0; jc < jc1; jc += kNc) {
-        std::int64_t nc = std::min(kNc, jc1 - jc);
+    for (std::int64_t jb = jc0 - jc0 % kNc; jb < jc1; jb += kNc) {
+        // [jc, jc + nc) is this call's share of block [jb, jb + nb).
+        std::int64_t nb = std::min(kNc, n - jb);
+        std::int64_t jc = std::max(jc0, jb);
+        std::int64_t nc = std::min(jb + nb, jc1) - jc;
         std::int64_t nc_padded = roundUpTo(nc, kNr);
         for (std::int64_t pc = 0; pc < k; pc += kKc) {
             std::int64_t kc = std::min(kKc, k - pc);
             float beta_eff = pc == 0 ? beta : 1.0f;
             const float *bblock;
             if (pb) {
-                bblock = pb + jc * k + nc_padded * pc;
+                bblock = pb + jb * k + roundUpTo(nb, kNr) * pc +
+                         (jc - jb) * kc;
             } else {
                 packB(tb, b, ldb, pc, jc, kc, nc, s.b.data());
                 bblock = s.b.data();
@@ -508,21 +513,21 @@ parallelGemmPackedAB(ThreadPool &pool, const PackedMatrix &a,
     SPG_ASSERT(a.kind() == PackedMatrix::Kind::A &&
                b.kind() == PackedMatrix::Kind::B);
     SPG_ASSERT(a.cols() == b.rows());
-    std::int64_t n = b.cols();
+    std::int64_t m = a.rows(), n = b.cols(), k = a.cols();
     if (n <= 0)
         return;
-    std::int64_t nblocks = (n + kNc - 1) / kNc;
-    if (pool.threads() <= 1 || nblocks <= 1) {
+    std::int64_t npanels = (n + kNr - 1) / kNr;
+    if (pool.threads() <= 1 || npanels <= 1 || m * n * k < 32 * 32 * 32) {
         sgemmPackedAB(a, b, beta, c, ldc);
         return;
     }
-    // Packed-B block offsets require kNc-aligned ranges, so the
-    // partition is over whole column blocks.
-    pool.parallelFor(nblocks, [&](std::int64_t begin, std::int64_t end,
+    // Any kNr-aligned column range addresses the shared packed B in
+    // place, so the partition is over single column panels.
+    pool.parallelFor(npanels, [&](std::int64_t begin, std::int64_t end,
                                   int) {
-        gemmBlocked(Trans::No, Trans::No, a.rows(), n, a.cols(), 1.0f,
-                    nullptr, 0, nullptr, 0, beta, c, ldc, a.panels(),
-                    b.panels(), begin * kNc, std::min(n, end * kNc));
+        gemmBlocked(Trans::No, Trans::No, m, n, k, 1.0f, nullptr, 0,
+                    nullptr, 0, beta, c, ldc, a.panels(), b.panels(),
+                    begin * kNr, std::min(n, end * kNr));
     });
 }
 

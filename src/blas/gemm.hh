@@ -251,8 +251,8 @@ void parallelGemmPackedA(ThreadPool &pool, const PackedMatrix &a,
                          std::int64_t ldc);
 
 /**
- * Parallel-GEMM with both operands pre-packed: column blocks of the
- * packed B (kGemmNc granularity) are partitioned across the pool.
+ * Parallel-GEMM with both operands pre-packed: column panels of the
+ * packed B (kGemmNr granularity) are partitioned across the pool.
  */
 void parallelGemmPackedAB(ThreadPool &pool, const PackedMatrix &a,
                           const PackedMatrix &b, float beta, float *c,

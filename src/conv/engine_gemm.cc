@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "blas/gemm.hh"
+#include "conv/packed_weights.hh"
 #include "conv/scratch.hh"
 #include "conv/unfold.hh"
 #include "obs/trace.hh"
@@ -12,37 +13,56 @@ namespace spg {
 namespace {
 
 /**
- * Per-image FP: unfold then O = W * U'. The GemmFn decides whether
- * the MM itself is threaded (Parallel-GEMM) or single-threaded
+ * Per-image FP: unfold straight into B panels, then the fully-packed
+ * O = Wpack * U'pack with zero in-loop packing. The PackedMmFn decides
+ * whether the MM itself is threaded (Parallel-GEMM) or single-threaded
  * (GEMM-in-Parallel). The epilogue runs right after the MM, while the
  * output image is hot.
  */
-template <typename GemmFn>
+template <typename PackedMmFn>
 void
-forwardImage(const ConvSpec &spec, const float *in, const float *weights,
-             float *out, std::int64_t out_offset, GemmFn &&mm,
+forwardImage(const ConvSpec &spec, const float *in,
+             const PackedMatrix &wpack, float *out,
+             std::int64_t out_offset, PackedMmFn &&mm,
              const Epilogue &epilogue)
 {
-    std::int64_t m = spec.gemmM(), n = spec.gemmN(), k = spec.gemmK();
-    float *u = ScratchArena::forThread().get(
-        kSlotUnfold, static_cast<std::size_t>(k) * n);
-    unfoldImage(spec, in, u);
-    mm(Trans::No, Trans::No, m, n, k, weights, u, 0.0f, out);
+    std::int64_t n = spec.gemmN(), k = spec.gemmK();
+    float *panels = ScratchArena::forThread().get(
+        kSlotPanelsB, PackedMatrix::panelElemsB(k, n));
+    unfoldImageToPanels(spec, in, panels);
+    mm(wpack, PackedMatrix::viewB(k, n, panels), out);
     epilogue.apply(out, out_offset, spec.outputElems());
 }
 
-/** Per-image BP-data: U'grad = W^T * EO, then fold into EI. */
-template <typename GemmFn>
+/** Per-image BP-data: U'grad = W^T * EO against the packed W^T, then
+ *  fold into EI. */
+template <typename PackedMmFn>
 void
 backwardDataImage(const ConvSpec &spec, const float *eo,
-                  const float *weights, float *ei, GemmFn &&mm)
+                  const PackedMatrix &wtpack, float *ei, PackedMmFn &&mm)
 {
-    std::int64_t m = spec.gemmK(), n = spec.gemmN(), k = spec.gemmM();
     float *ugrad = ScratchArena::forThread().get(
-        kSlotUnfoldGrad, static_cast<std::size_t>(m) * n);
-    mm(Trans::Yes, Trans::No, m, n, k, weights, eo, 0.0f, ugrad);
+        kSlotUnfoldGrad,
+        static_cast<std::size_t>(spec.gemmK()) * spec.gemmN());
+    mm(wtpack, eo, ugrad);
     std::memset(ei, 0, sizeof(float) * spec.inputElems());
     foldImageAccumulate(spec, ugrad, ei);
+}
+
+/** W (FP's A operand), packed once per weight version. */
+std::shared_ptr<const PackedMatrix>
+packedWeights(const ConvSpec &spec, const Tensor &weights)
+{
+    return PackedWeightCache::global().getA(weights.data(), Trans::No,
+                                            spec.gemmM(), spec.gemmK());
+}
+
+/** W^T (BP-data's A operand), packed once per weight version. */
+std::shared_ptr<const PackedMatrix>
+packedWeightsT(const ConvSpec &spec, const Tensor &weights)
+{
+    return PackedWeightCache::global().getA(weights.data(), Trans::Yes,
+                                            spec.gemmK(), spec.gemmM());
 }
 
 /** Per-image BP-weights: dW += EO * U'^T (dW pre-zeroed by caller). */
@@ -72,14 +92,15 @@ UnfoldGemmEngine::forward(const ConvSpec &spec, const Tensor &in,
     SPG_TRACE_SCOPE("kernel", "parallel-gemm FP");
     checkForwardShapes(spec, in, weights, out);
     std::int64_t batch = in.shape()[0];
-    auto mm = [&pool](Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                      std::int64_t k, const float *a, const float *b,
-                      float beta, float *c) {
-        parallelGemm(pool, ta, tb, m, n, k, a, b, beta, c);
+    std::int64_t n = spec.gemmN();
+    auto wpack = packedWeights(spec, weights);
+    auto mm = [&pool, n](const PackedMatrix &a, const PackedMatrix &b,
+                         float *c) {
+        parallelGemmPackedAB(pool, a, b, 0.0f, c, n);
     };
     for (std::int64_t b = 0; b < batch; ++b) {
-        forwardImage(spec, in.data() + b * spec.inputElems(),
-                     weights.data(), out.data() + b * spec.outputElems(),
+        forwardImage(spec, in.data() + b * spec.inputElems(), *wpack,
+                     out.data() + b * spec.outputElems(),
                      b * spec.outputElems(), mm, epilogue);
     }
 }
@@ -92,16 +113,17 @@ UnfoldGemmEngine::backwardData(const ConvSpec &spec, const Tensor &eo,
     SPG_TRACE_SCOPE("kernel", "parallel-gemm BP-data");
     checkBackwardShapes(spec, eo, weights, ei);
     std::int64_t batch = eo.shape()[0];
-    auto mm = [&pool](Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                      std::int64_t k, const float *a, const float *b,
-                      float beta, float *c) {
-        parallelGemm(pool, ta, tb, m, n, k, a, b, beta, c);
+    std::int64_t n = spec.gemmN();
+    auto wtpack = packedWeightsT(spec, weights);
+    auto mm = [&pool, n](const PackedMatrix &a, const float *b,
+                         float *c) {
+        parallelGemmPackedA(pool, a, Trans::No, n, b, n, 0.0f, c, n);
     };
     for (std::int64_t b = 0; b < batch; ++b) {
         std::int64_t off = b * spec.outputElems();
         const float *eo_b =
             stagedMaskedEo(spec, eo.data() + off, off, mask);
-        backwardDataImage(spec, eo_b, weights.data(),
+        backwardDataImage(spec, eo_b, *wtpack,
                           ei.data() + b * spec.inputElems(), mm);
     }
 }
@@ -155,10 +177,14 @@ GemmInParallelEngine::forward(const ConvSpec &spec, const Tensor &in,
     SPG_TRACE_SCOPE("kernel", "gemm-in-parallel FP");
     checkForwardShapes(spec, in, weights, out);
     std::int64_t batch = in.shape()[0];
+    std::int64_t n = spec.gemmN();
+    auto wpack = packedWeights(spec, weights);
+    auto mm = [n](const PackedMatrix &a, const PackedMatrix &b,
+                  float *c) { sgemmPackedAB(a, b, 0.0f, c, n); };
     pool.parallelForDynamic(batch, [&](std::int64_t b, int) {
-        forwardImage(spec, in.data() + b * spec.inputElems(),
-                     weights.data(), out.data() + b * spec.outputElems(),
-                     b * spec.outputElems(), seqMm, epilogue);
+        forwardImage(spec, in.data() + b * spec.inputElems(), *wpack,
+                     out.data() + b * spec.outputElems(),
+                     b * spec.outputElems(), mm, epilogue);
     }, /*grain=*/1);
 }
 
@@ -171,12 +197,17 @@ GemmInParallelEngine::backwardData(const ConvSpec &spec, const Tensor &eo,
     SPG_TRACE_SCOPE("kernel", "gemm-in-parallel BP-data");
     checkBackwardShapes(spec, eo, weights, ei);
     std::int64_t batch = eo.shape()[0];
+    std::int64_t n = spec.gemmN();
+    auto wtpack = packedWeightsT(spec, weights);
+    auto mm = [n](const PackedMatrix &a, const float *b, float *c) {
+        sgemmPackedA(a, Trans::No, n, b, n, 0.0f, c, n);
+    };
     pool.parallelForDynamic(batch, [&](std::int64_t b, int) {
         std::int64_t off = b * spec.outputElems();
         const float *eo_b =
             stagedMaskedEo(spec, eo.data() + off, off, mask);
-        backwardDataImage(spec, eo_b, weights.data(),
-                          ei.data() + b * spec.inputElems(), seqMm);
+        backwardDataImage(spec, eo_b, *wtpack,
+                          ei.data() + b * spec.inputElems(), mm);
     }, /*grain=*/1);
 }
 

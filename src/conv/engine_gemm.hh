@@ -18,6 +18,32 @@
  * epilogues run per image right after its MM, while the output image
  * is still cache-hot; fused BP masks stage a masked per-image copy of
  * EO in scratch before the MM consumes it.
+ *
+ * FP and BP-data run on packed operands. A plain sgemm per image
+ * would pay two avoidable costs: re-packing the SAME weight matrix
+ * into micro-kernel panels on every call, and (in FP) writing a dense
+ * im2col matrix that the GEMM's packB immediately re-reads and copies
+ * into panel format. Instead:
+ *
+ *  - W (FP) and W^T (BP-data) are packed once per weight version via
+ *    PackedWeightCache and shared read-only by every image, minibatch
+ *    and worker.
+ *  - FP unfolds each image DIRECTLY into B-panel format
+ *    (unfoldImageToPanels), so the fully-packed GEMM runs with no
+ *    packing inside the blocking loops at all. BP-data still packs
+ *    its EO operand per call.
+ *
+ * Per-core AIT rises accordingly: the per-image weight-panel
+ * write+read round trip and the dense-unfold round trip disappear
+ * from the operand traffic (see simcpu/conv_model.cc for the model
+ * side of this accounting). The packed entry points run the exact
+ * blocking and micro-kernel order of sgemm, only skipping the pack
+ * copies, so results are bit-for-bit those of unfoldImage + sgemm.
+ * Parallel-GEMM partitions the columns of each image's MM, so every
+ * worker streams the same packed weights.
+ *
+ * BP-weights has no operand that is reused across images (the weights
+ * are the OUTPUT of that GEMM), so it runs plain sgemm per image.
  */
 
 #ifndef SPG_CONV_ENGINE_GEMM_HH

@@ -9,7 +9,7 @@
  * PackedWeightCache (rows = output features, columns = flattened
  * (c, ky, kx) taps, plus precomputed input offsets), so steady-state
  * forward passes pay zero encode work; ConvLayer::paramsUpdated()
- * invalidation plus the cache's FNV-1a content fingerprint re-encode
+ * invalidation plus the cache's content fingerprint re-encode
  * exactly when a pruning step or SGD update changes the weights.
  *
  * The kernel inverts the row-AXPY loop nest: instead of

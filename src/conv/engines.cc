@@ -8,8 +8,6 @@ makeAllEngines()
     std::vector<std::unique_ptr<ConvEngine>> engines;
     engines.push_back(std::make_unique<UnfoldGemmEngine>());
     engines.push_back(std::make_unique<GemmInParallelEngine>());
-    engines.push_back(std::make_unique<UnfoldGemmPackedEngine>());
-    engines.push_back(std::make_unique<GemmInParallelPackedEngine>());
     engines.push_back(std::make_unique<StencilEngine>());
     engines.push_back(std::make_unique<DirectEngine>());
     engines.push_back(std::make_unique<SparseBpEngine>());
@@ -34,10 +32,6 @@ makeEngine(const std::string &name)
         return std::make_unique<UnfoldGemmEngine>();
     if (name == "gemm-in-parallel")
         return std::make_unique<GemmInParallelEngine>();
-    if (name == "parallel-gemm-packed")
-        return std::make_unique<UnfoldGemmPackedEngine>();
-    if (name == "gemm-in-parallel-packed")
-        return std::make_unique<GemmInParallelPackedEngine>();
     if (name == "stencil")
         return std::make_unique<StencilEngine>();
     if (name == "direct")

@@ -12,7 +12,6 @@
 #include "conv/engine.hh"
 #include "conv/engine_direct.hh"
 #include "conv/engine_gemm.hh"
-#include "conv/engine_gemm_packed.hh"
 #include "conv/engine_sparse.hh"
 #include "conv/engine_sparse_direct.hh"
 #include "conv/engine_stencil.hh"
@@ -23,8 +22,7 @@ namespace spg {
 /**
  * @return one instance of every paper-set production engine (excludes
  * the reference oracle and extensions): parallel-gemm,
- * gemm-in-parallel, their packed-operand variants, stencil, direct,
- * sparse-cached.
+ * gemm-in-parallel, stencil, direct, sparse-cached.
  */
 std::vector<std::unique_ptr<ConvEngine>> makeAllEngines();
 
@@ -38,8 +36,8 @@ std::vector<std::unique_ptr<ConvEngine>> makeExtendedEngines();
 /**
  * @return the engine with the given name(), or nullptr when unknown.
  * Recognized names: "reference", "parallel-gemm", "gemm-in-parallel",
- * "parallel-gemm-packed", "gemm-in-parallel-packed", "stencil",
- * "direct", "sparse-cached", "sparse-weights-direct", "winograd".
+ * "stencil", "direct", "sparse-cached", "sparse-weights-direct",
+ * "winograd".
  */
 std::unique_ptr<ConvEngine> makeEngine(const std::string &name);
 

@@ -1,9 +1,8 @@
 #include "conv/packed_weights.hh"
 
-#include <cstring>
-
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "util/hash.hh"
 #include "util/timer.hh"
 
 namespace spg {
@@ -13,21 +12,6 @@ namespace {
 /** Entries are few (one or two per conv layer per phase); past this
  *  something is leaking keys, so start over rather than grow. */
 constexpr std::size_t kMaxEntries = 64;
-
-/** FNV-1a over the dense weight bytes. */
-std::uint64_t
-fingerprint(const float *w, std::int64_t count)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    const unsigned char *bytes =
-        reinterpret_cast<const unsigned char *>(w);
-    std::size_t n = static_cast<std::size_t>(count) * sizeof(float);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -43,7 +27,7 @@ PackedWeightCache::getA(const float *w, Trans ta, std::int64_t m,
                         std::int64_t k)
 {
     Key key{w, ta, m, k};
-    std::uint64_t fp = fingerprint(w, m * k);
+    std::uint64_t fp = contentHash(w, sizeof(float) * m * k);
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(key);
@@ -73,7 +57,7 @@ PackedWeightCache::getSparseConv(const float *w, const ConvSpec &spec)
 {
     SparseKey key{w, spec.nf, spec.nc, spec.fy, spec.fx,
                   spec.ny, spec.nx};
-    std::uint64_t fp = fingerprint(w, spec.weightElems());
+    std::uint64_t fp = contentHash(w, sizeof(float) * spec.weightElems());
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = sparse_entries_.find(key);

@@ -13,13 +13,13 @@
  *  - ConvLayer explicitly calls invalidate() whenever it mutates its
  *    weights (SGD update, checkpoint restore) or dies (so a later
  *    allocation reusing the address cannot alias a stale entry).
- *  - get() additionally fingerprints the weight contents (FNV-1a over
- *    the raw bytes) and re-packs on mismatch, which keeps direct
- *    engine users (tests, benches, tuner probes) correct even when
- *    they mutate weight tensors without telling the cache. The
- *    fingerprint pass reads W once per get() — once per minibatch
- *    phase, amortized across the whole batch, vs. the per-image
- *    pack round trip it replaces.
+ *  - get() additionally fingerprints the weight contents (contentHash
+ *    over the raw bytes, util/hash.hh) and re-packs on mismatch, which
+ *    keeps direct engine users (tests, benches, tuner probes) correct
+ *    even when they mutate weight tensors without telling the cache.
+ *    The fingerprint pass reads W once per get() — once per minibatch
+ *    phase, amortized across the whole batch, vs. the per-image pack
+ *    round trip it replaces.
  *
  * Returned values are shared_ptr<const PackedMatrix>: invalidation
  * while a phase is in flight just drops the cache's reference; workers
@@ -95,7 +95,7 @@ class PackedWeightCache
      * row-major) encoded as a SparseWeightPlan for @p spec, encoding
      * it now if absent or if the cached entry's content fingerprint
      * no longer matches. Same staleness discipline as getA():
-     * ConvLayer::paramsUpdated() invalidation plus an FNV-1a content
+     * ConvLayer::paramsUpdated() invalidation plus a content
      * fingerprint per lookup, so a pruning step (or any other weight
      * mutation) re-encodes exactly once per weight version.
      */

@@ -12,8 +12,8 @@
  * second phase replays non-zeros with zero encoding work or traffic.
  *
  * Staleness is handled like PackedWeightCache: a keyed lookup
- * (pointer + geometry + tile width) plus an FNV-1a content fingerprint
- * checked on every get(), so a new minibatch written into the same
+ * (pointer + geometry + tile width) plus a content fingerprint
+ * (contentHash, util/hash.hh) checked on every get(), so a new minibatch written into the same
  * tensor storage — the steady-state training pattern — re-encodes,
  * while the BP-weights call that follows BP-data hits. The fingerprint
  * pass reads EO once per get(), amortized against the full transform +

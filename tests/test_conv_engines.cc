@@ -11,9 +11,13 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "blas/gemm.hh"
 #include "conv/engines.hh"
 #include "conv/packed_weights.hh"
+#include "conv/unfold.hh"
+#include "obs/metrics.hh"
 #include "sparse/sparse_plan.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
@@ -112,8 +116,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, static_cast<int>(std::size(kCases))),
         ::testing::Values(std::string("parallel-gemm"),
                           std::string("gemm-in-parallel"),
-                          std::string("parallel-gemm-packed"),
-                          std::string("gemm-in-parallel-packed"),
                           std::string("stencil"), std::string("direct"),
                           std::string("sparse-cached")),
         ::testing::Values(0.0, 0.85, 0.99)),
@@ -132,8 +134,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ConvEngines, RegistryKnowsAllNames)
 {
     for (const char *name :
-         {"reference", "parallel-gemm", "gemm-in-parallel",
-          "parallel-gemm-packed", "gemm-in-parallel-packed", "stencil",
+         {"reference", "parallel-gemm", "gemm-in-parallel", "stencil",
           "direct", "sparse-cached", "sparse-weights-direct",
           "winograd"}) {
         auto e = makeEngine(name);
@@ -145,10 +146,12 @@ TEST(ConvEngines, RegistryKnowsAllNames)
         EXPECT_NE(makeEngine(engine->name()), nullptr) << engine->name();
     EXPECT_EQ(makeEngine("no-such-engine"), nullptr);
     // Deleted engines stay deleted.
-    for (const char *gone : {"fft", "sparse", "sparse-weights"})
+    for (const char *gone :
+         {"fft", "sparse", "sparse-weights", "parallel-gemm-packed",
+          "gemm-in-parallel-packed"})
         EXPECT_EQ(makeEngine(gone), nullptr) << gone;
-    EXPECT_EQ(makeAllEngines().size(), 7u);
-    EXPECT_EQ(makeExtendedEngines().size(), 9u);
+    EXPECT_EQ(makeAllEngines().size(), 5u);
+    EXPECT_EQ(makeExtendedEngines().size(), 7u);
 }
 
 TEST(ConvEngines, PhaseSupportMatrix)
@@ -165,69 +168,113 @@ TEST(ConvEngines, PhaseSupportMatrix)
         makeEngine("sparse-cached")->supports(Phase::BackwardWeights));
 }
 
-TEST(ConvEngines, PackedEnginesMatchUnpackedBitForBit)
+TEST(ConvEngines, GemmEnginesMatchPlainSgemmBitForBit)
 {
-    // The packed variants skip operand packing inside the blocking
-    // loops but run the identical blocking and micro-kernel order, so
-    // their outputs must be EXACTLY equal, not just close.
-    PackedWeightCache::global().clear();
-    ConvSpec spec{14, 12, 3, 7, 3, 3, 1, 1};
-    std::int64_t batch = 3;
-    Rng rng(77);
-    ThreadPool pool(3);
-    Tensor in(Shape{batch, spec.nc, spec.ny, spec.nx});
-    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    Tensor eo(Shape{batch, spec.nf, spec.outY(), spec.outX()});
-    in.fillUniform(rng);
-    w.fillUniform(rng, -0.5f, 0.5f);
-    eo.fillUniform(rng);
-
-    const char *pairs[][2] = {
-        {"parallel-gemm", "parallel-gemm-packed"},
-        {"gemm-in-parallel", "gemm-in-parallel-packed"},
+    // The GEMM engines run FP and BP-data on cached packed weights (FP
+    // also unfolds straight into B panels), and Parallel-GEMM splits
+    // each image's MM by columns across the pool. The packed entry
+    // points keep sgemm's blocking and micro-kernel order, so both
+    // schedules must EXACTLY equal a per-image unfold + plain sgemm
+    // (+ fold for BP-data), not just be close.
+    const ConvSpec specs[] = {
+        ConvSpec{14, 12, 3, 7, 3, 3, 1, 1},   // below the threading cut
+        ConvSpec{36, 36, 3, 16, 5, 5, 1, 1},  // cifar10 conv0 shape
+        ConvSpec{50, 50, 2, 5, 3, 3, 1, 1},   // N spans two kNc blocks
+        ConvSpec{17, 17, 2, 4, 5, 5, 3, 3},   // strided
     };
-    for (const auto &pair : pairs) {
-        auto plain = makeEngine(pair[0]);
-        auto packed = makeEngine(pair[1]);
-        Tensor out_a(Shape{batch, spec.nf, spec.outY(), spec.outX()});
-        Tensor out_b(Shape{batch, spec.nf, spec.outY(), spec.outX()});
-        plain->forward(spec, in, w, out_a, pool);
-        packed->forward(spec, in, w, out_b, pool);
-        EXPECT_EQ(maxAbsDiff(out_a, out_b), 0.0f) << pair[1] << " FP";
+    std::int64_t batch = 3;
+    ThreadPool pool(3);
+    for (const ConvSpec &spec : specs) {
+        PackedWeightCache::global().clear();
+        Rng rng(77 + spec.ny);
+        Tensor in(Shape{batch, spec.nc, spec.ny, spec.nx});
+        Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+        Tensor eo(Shape{batch, spec.nf, spec.outY(), spec.outX()});
+        in.fillUniform(rng);
+        w.fillUniform(rng, -0.5f, 0.5f);
+        eo.fillUniform(rng);
 
-        Tensor ei_a(Shape{batch, spec.nc, spec.ny, spec.nx});
-        Tensor ei_b(Shape{batch, spec.nc, spec.ny, spec.nx});
-        plain->backwardData(spec, eo, w, ei_a, pool);
-        packed->backwardData(spec, eo, w, ei_b, pool);
-        EXPECT_EQ(maxAbsDiff(ei_a, ei_b), 0.0f) << pair[1] << " BP-data";
+        std::int64_t m = spec.gemmM(), n = spec.gemmN(), k = spec.gemmK();
+        Tensor out_ref(Shape{batch, spec.nf, spec.outY(), spec.outX()});
+        Tensor ei_ref(Shape{batch, spec.nc, spec.ny, spec.nx});
+        std::vector<float> u(static_cast<std::size_t>(k * n));
+        for (std::int64_t b = 0; b < batch; ++b) {
+            unfoldImage(spec, in.data() + b * spec.inputElems(), u.data());
+            sgemm(Trans::No, Trans::No, m, n, k, w.data(), u.data(), 0.0f,
+                  out_ref.data() + b * spec.outputElems());
+            sgemm(Trans::Yes, Trans::No, k, n, m, w.data(),
+                  eo.data() + b * spec.outputElems(), 0.0f, u.data());
+            foldImageAccumulate(spec, u.data(),
+                                ei_ref.data() + b * spec.inputElems());
+        }
+
+        for (const char *name : {"parallel-gemm", "gemm-in-parallel"}) {
+            auto engine = makeEngine(name);
+            Tensor out(Shape{batch, spec.nf, spec.outY(), spec.outX()});
+            engine->forward(spec, in, w, out, pool);
+            EXPECT_EQ(maxAbsDiff(out, out_ref), 0.0f)
+                << name << " FP n=" << n;
+
+            Tensor ei(Shape{batch, spec.nc, spec.ny, spec.nx});
+            engine->backwardData(spec, eo, w, ei, pool);
+            EXPECT_EQ(maxAbsDiff(ei, ei_ref), 0.0f)
+                << name << " BP-data n=" << n;
+        }
+        // One packed W (FP) and one packed W^T (BP-data), shared by
+        // both engines.
+        EXPECT_EQ(PackedWeightCache::global().size(), 2u);
     }
-    EXPECT_GT(PackedWeightCache::global().size(), 0u);
     PackedWeightCache::global().clear();
 }
 
 TEST(ConvEngines, PackedEngineSeesInPlaceWeightMutation)
 {
     // Direct engine users mutate weight tensors without notifying the
-    // cache; the content fingerprint must force a re-pack.
-    PackedWeightCache::global().clear();
-    ConvSpec spec{10, 10, 2, 4, 3, 3, 1, 1};
-    Rng rng(78);
+    // cache; the content fingerprint must force a re-pack. 90 weights
+    // (360 bytes) are eleven 32-byte hash blocks plus an 8-byte tail:
+    // the mutations hit each of the four 8-byte lanes of a block, and
+    // the last float alone, which only the tail loop reads.
+    ConvSpec spec{10, 10, 2, 5, 3, 3, 1, 1};
+    ASSERT_EQ(spec.weightElems() % 8, 2);
+    const std::int64_t mutated[] = {0, 3, 5, 7, spec.weightElems() - 1};
+    obs::Counter &packs =
+        obs::Metrics::global().counter("packed_weights.packs");
     ThreadPool pool(2);
-    Tensor in(Shape{2, spec.nc, spec.ny, spec.nx});
-    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    in.fillUniform(rng);
-    w.fillUniform(rng);
+    for (const char *name : {"parallel-gemm", "gemm-in-parallel"}) {
+        PackedWeightCache::global().clear();
+        Rng rng(78);
+        Tensor in(Shape{2, spec.nc, spec.ny, spec.nx});
+        Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+        Tensor eo(Shape{2, spec.nf, spec.outY(), spec.outX()});
+        in.fillUniform(rng);
+        w.fillUniform(rng);
+        eo.fillUniform(rng);
 
-    auto packed = makeEngine("gemm-in-parallel-packed");
-    Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    packed->forward(spec, in, w, out, pool);  // caches packed w
+        auto engine = makeEngine(name);
+        Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
+        Tensor ei(Shape{2, spec.nc, spec.ny, spec.nx});
+        engine->forward(spec, in, w, out, pool);  // caches packed W
+        engine->backwardData(spec, eo, w, ei, pool);  // and W^T
 
-    w[0] += 1.0f;  // in-place mutation, same pointer and dims
-    Tensor out_ref(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    ReferenceEngine().forward(spec, in, w, out_ref, pool);
-    packed->forward(spec, in, w, out, pool);
-    EXPECT_TRUE(allClose(out, out_ref, 1e-3f, 1e-4f))
-        << "stale packed weights served after mutation";
+        for (std::int64_t i : mutated) {
+            w[i] += 1.0f;  // in-place mutation, same pointer and dims
+            std::int64_t before = packs.value();
+            Tensor out_ref(Shape{2, spec.nf, spec.outY(), spec.outX()});
+            Tensor ei_ref(Shape{2, spec.nc, spec.ny, spec.nx});
+            ReferenceEngine().forward(spec, in, w, out_ref, pool);
+            ReferenceEngine().backwardData(spec, eo, w, ei_ref, pool);
+            engine->forward(spec, in, w, out, pool);
+            engine->backwardData(spec, eo, w, ei, pool);
+            EXPECT_EQ(packs.value() - before, 2)
+                << name << ": no re-pack after mutating w[" << i << "]";
+            EXPECT_TRUE(allClose(out, out_ref, 1e-3f, 1e-4f))
+                << name << ": stale packed W served after mutating w["
+                << i << "]";
+            EXPECT_TRUE(allClose(ei, ei_ref, 1e-3f, 1e-4f))
+                << name << ": stale packed W^T served after mutating w["
+                << i << "]";
+        }
+    }
     PackedWeightCache::global().clear();
 }
 

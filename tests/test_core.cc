@@ -96,13 +96,13 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     EXPECT_NE(plan.bp_data_engine, "stencil"); // stencil is FP-only
     EXPECT_DOUBLE_EQ(plan.tuned_sparsity, 0.9);
 
-    // FP candidates: parallel-gemm, gemm-in-parallel, their packed
-    // variants, stencil, and direct.
-    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 6u);
-    // BP candidates: parallel-gemm, gemm-in-parallel, the packed
-    // variants, direct, and sparse-cached.
-    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 6u);
-    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 6u);
+    // FP candidates: parallel-gemm, gemm-in-parallel, stencil, and
+    // direct.
+    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 4u);
+    // BP candidates: parallel-gemm, gemm-in-parallel, direct, and
+    // sparse-cached.
+    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 4u);
+    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 4u);
     for (const auto &[phase, timings] : plan.timings) {
         for (const auto &timing : timings)
             EXPECT_GT(timing.seconds, 0.0) << phaseName(phase);

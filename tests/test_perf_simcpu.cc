@@ -365,7 +365,7 @@ TEST(ConvModel, ModelsEngineAgreesWithPhaseModel)
         modeled += modelsEngine(name);
     }
     // Everything but winograd.
-    EXPECT_EQ(modeled, 8);
+    EXPECT_EQ(modeled, 6);
     EXPECT_FALSE(modelsEngine("winograd"));
     EXPECT_FALSE(modelsEngine("reference"));
 }

@@ -138,7 +138,11 @@ fi
 # the pruning/mask/checkpoint machinery are exactly the sort of
 # off-by-one indexing ASan catches, and the PackedWeightCache is shared
 # mutable state the TSan run must prove race-free under the
-# plane-parallel engines. The distrib suites (DataParallel,
+# plane-parallel engines. The ConvEngines suite joins for the same
+# cache: every GEMM FP/BP-data call goes through it, from serving
+# instances and tuner probes at once, and its bit-for-bit and in-place
+# mutation tests walk the packed panels ASan must prove in-bounds.
+# The distrib suites (DataParallel,
 # Allreduce, GradCompress, Exchange) join both runs: the exchange
 # scheduler's in-place K-way averaging walks raw gradient spans ASan
 # must prove in-bounds, and the replica fan-out over the shared pool
@@ -156,6 +160,6 @@ fi
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange'
+            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange|ConvEngines'
     done
 fi
