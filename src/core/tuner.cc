@@ -77,10 +77,13 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
     // the engines see is unchanged by the gating.
     std::vector<std::uint8_t> mask;
     if (fused_relu && phase != Phase::Forward) {
-        mask.resize(static_cast<std::size_t>(eo.size()));
+        // Byte stores may alias anything: hoist the bound explicitly.
+        const std::int64_t n = eo.size();
+        mask.resize(static_cast<std::size_t>(n));
         const float *go = eo.data();
-        for (std::int64_t i = 0; i < eo.size(); ++i)
-            mask[i] = go[i] != 0.0f;
+        std::uint8_t *m = mask.data();
+        for (std::int64_t i = 0; i < n; ++i)
+            m[i] = go[i] != 0.0f;
     }
     BpMask bp_mask;
     if (!mask.empty())
@@ -259,23 +262,27 @@ Tuner::tunePhases(LayerPlan &plan, const std::vector<Phase> &phases,
 
 LayerPlan
 Tuner::tune(const ConvSpec &spec, double sparsity, ThreadPool &pool,
-            bool fused_relu, double weight_sparsity) const
+            bool fused_relu, double weight_sparsity,
+            bool input_gradient) const
 {
     LayerPlan plan;
-    tunePhases(plan,
-               {Phase::Forward, Phase::BackwardData,
-                Phase::BackwardWeights},
-               spec, sparsity, pool, fused_relu, weight_sparsity);
+    std::vector<Phase> phases{Phase::Forward};
+    if (input_gradient)
+        phases.push_back(Phase::BackwardData);
+    phases.push_back(Phase::BackwardWeights);
+    tunePhases(plan, phases, spec, sparsity, pool, fused_relu,
+               weight_sparsity);
     return plan;
 }
 
 LayerPlan
 Tuner::retuneBp(const LayerPlan &previous, const ConvSpec &spec,
-                double sparsity, ThreadPool &pool, bool fused_relu) const
+                double sparsity, ThreadPool &pool, bool fused_relu,
+                bool input_gradient) const
 {
     if (previous.fp_engine.empty())
         return tune(spec, sparsity, pool, fused_relu,
-                    previous.tuned_weight_sparsity);
+                    previous.tuned_weight_sparsity, input_gradient);
     LayerPlan plan;
     // FP carried forward: choice and measurements stay valid because
     // forward cost does not depend on the error-gradient sparsity.
@@ -288,8 +295,11 @@ Tuner::retuneBp(const LayerPlan &previous, const ConvSpec &spec,
     auto it = previous.timings.find(Phase::Forward);
     if (it != previous.timings.end())
         plan.timings[Phase::Forward] = it->second;
-    tunePhases(plan, {Phase::BackwardData, Phase::BackwardWeights}, spec,
-               sparsity, pool, fused_relu,
+    std::vector<Phase> phases;
+    if (input_gradient)
+        phases.push_back(Phase::BackwardData);
+    phases.push_back(Phase::BackwardWeights);
+    tunePhases(plan, phases, spec, sparsity, pool, fused_relu,
                previous.tuned_weight_sparsity);
     plan.tuned_weight_sparsity = previous.tuned_weight_sparsity;
     return plan;

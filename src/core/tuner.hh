@@ -150,21 +150,26 @@ class Tuner
      *        the synthetic weight tensor is sparsified to it so the
      *        CSR-weights FP engine is measured at the sparsity it
      *        would actually run at (Fig. 4-style crossover).
+     * @param input_gradient false for a layer that runs no BP-data
+     *        (ConvLayer::computesInputGradient): no BackwardData
+     *        candidate is measured and bp_data_engine stays empty.
      */
     LayerPlan tune(const ConvSpec &spec, double sparsity, ThreadPool &pool,
-                   bool fused_relu = false,
-                   double weight_sparsity = 0.0) const;
+                   bool fused_relu = false, double weight_sparsity = 0.0,
+                   bool input_gradient = true) const;
 
     /**
      * Re-tune only the BP phases, carrying the FP choice and its
      * timings forward from `previous`. FP profitability does not
      * depend on the error sparsity, so a shouldRetune()-triggered
      * re-tune need not re-measure it. Falls back to a full tune when
-     * `previous` has no FP decision.
+     * `previous` has no FP decision. With input_gradient false only
+     * BP-weights is re-measured (see tune()).
      */
     LayerPlan retuneBp(const LayerPlan &previous, const ConvSpec &spec,
                        double sparsity, ThreadPool &pool,
-                       bool fused_relu = false) const;
+                       bool fused_relu = false,
+                       bool input_gradient = true) const;
 
     /**
      * @return true when a plan tuned at `plan.tuned_sparsity` should

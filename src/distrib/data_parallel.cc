@@ -83,7 +83,8 @@ DataParallelTrainer::deployEngines(ThreadPool &pool)
         for (ConvLayer *conv : convs) {
             LayerPlan plan =
                 tuner.tune(conv->spec(), 0.0, pool, conv->fusedRelu(),
-                           conv->weightSparsity());
+                           conv->weightSparsity(),
+                           conv->computesInputGradient());
             deployed_engines_.push_back(
                 EngineAssignment{plan.fp_engine, plan.bp_data_engine,
                                  plan.bp_weights_engine});

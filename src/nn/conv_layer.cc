@@ -1,6 +1,8 @@
 #include "nn/conv_layer.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "conv/packed_weights.hh"
 #include "nn/pruning.hh"
@@ -22,6 +24,30 @@ phasePerfSnapshot(ThreadPool &pool)
     obs::PerfSample s = obs::perfReadThread();
     s.accumulate(pool.perfTotals());
     return s;
+}
+
+/** Elements per chunk of the post-mask live count. Fixed, so the
+ *  split depends on the tensor alone; the partial counts are integers,
+ *  so their sum is exact in any order. */
+constexpr std::int64_t kLiveCountChunk = std::int64_t{1} << 15;
+
+/** Number of i < n with mask[i] set and eo[i] non-zero, counted in
+ *  fixed chunks on the pool with a branchless, vectorizable body. */
+std::int64_t
+liveCount(const float *eo, const std::uint8_t *mask, std::int64_t n,
+          ThreadPool &pool)
+{
+    const std::int64_t chunks = (n + kLiveCountChunk - 1) / kLiveCountChunk;
+    std::vector<std::int64_t> partial(static_cast<std::size_t>(chunks));
+    pool.parallelForDynamic(chunks, [&](std::int64_t c, int) {
+        const std::int64_t begin = c * kLiveCountChunk;
+        const std::int64_t end = std::min(n, begin + kLiveCountChunk);
+        std::int32_t live = 0;  // a chunk's count fits 32 bits
+        for (std::int64_t i = begin; i < end; ++i)
+            live += (mask[i] != 0) & (eo[i] != 0.0f);
+        partial[static_cast<std::size_t>(c)] = live;
+    });
+    return std::accumulate(partial.begin(), partial.end(), std::int64_t{0});
 }
 
 } // namespace
@@ -74,8 +100,13 @@ ConvLayer::engineByName(const std::string &name) const
 }
 
 void
-ConvLayer::setEngines(const EngineAssignment &engines)
+ConvLayer::setEngines(const EngineAssignment &requested)
 {
+    EngineAssignment engines = requested;
+    // A layer that runs no BP-data is tuned without it; an empty
+    // bp_data keeps the current, never-run assignment.
+    if (engines.bp_data.empty() && !input_gradient)
+        engines.bp_data = assignment.bp_data;
     // Validate phase support eagerly so a bad plan fails loudly.
     if (!engineByName(engines.fp).supports(Phase::Forward))
         fatal("engine '%s' cannot run FP", engines.fp.c_str());
@@ -144,46 +175,46 @@ ConvLayer::backward(const Tensor &in, const Tensor &, const Tensor &eo,
 {
     SPG_ASSERT(!inference_only);
     std::int64_t batch = eo.shape()[0];
+    const std::int64_t n = eo.size();
+    std::int64_t live = 0;
     BpMask mask;
     if (fused_relu) {
-        SPG_ASSERT(relu_mask.size() ==
-                   static_cast<std::size_t>(eo.size()));
+        SPG_ASSERT(relu_mask.size() == static_cast<std::size_t>(n));
         mask.mask = relu_mask.data();
         // The sparsity the BP engines see is POST-mask: an element is
         // live only where the fused ReLU kept it and eo is non-zero.
-        std::int64_t nnz_count = 0;
-        const float *go = eo.data();
-        for (std::int64_t i = 0; i < eo.size(); ++i)
-            nnz_count += relu_mask[i] && go[i] != 0.0f;
+        live = liveCount(eo.data(), relu_mask.data(), n, pool);
         last_eo_sparsity =
-            eo.size() == 0 ? 0.0
-                           : 1.0 - static_cast<double>(nnz_count) /
-                                       static_cast<double>(eo.size());
+            1.0 - static_cast<double>(live) / static_cast<double>(n);
     } else {
-        last_eo_sparsity = eo.sparsity();
+        const std::int64_t zeros = eo.zeroCount();
+        live = n - zeros;
+        last_eo_sparsity =
+            static_cast<double>(zeros) / static_cast<double>(n);
     }
     eo_sparsity_gauge->set(last_eo_sparsity);
     static obs::Counter &nnz =
         obs::Metrics::global().counter("conv.eo_nnz");
-    nnz.add(static_cast<std::int64_t>(
-        (1.0 - last_eo_sparsity) * static_cast<double>(eo.size())));
+    nnz.add(live);
     static obs::Counter &bp_flops =
         obs::Metrics::global().counter("conv.bp_flops");
-    bp_flops.add(2 * spec_.flops() * batch);
+    bp_flops.add((input_gradient ? 2 : 1) * spec_.flops() * batch);
     const bool perf_on = obs::perfEnabled();
     obs::PerfSample perf0;
     Stopwatch watch;
-    {
-        SPG_TRACE_SCOPE_N("layer", span_bp_data, "batch", batch);
+    if (input_gradient) {
+        {
+            SPG_TRACE_SCOPE_N("layer", span_bp_data, "batch", batch);
+            if (perf_on)
+                perf0 = phasePerfSnapshot(pool);
+            engineByName(assignment.bp_data)
+                .backwardData(spec_, eo, weights_, ei, pool, mask);
+        }
+        profile_.bp_data_seconds += watch.seconds();
         if (perf_on)
-            perf0 = phasePerfSnapshot(pool);
-        engineByName(assignment.bp_data)
-            .backwardData(spec_, eo, weights_, ei, pool, mask);
+            profile_.bp_data_perf.accumulate(
+                phasePerfSnapshot(pool).delta(perf0));
     }
-    profile_.bp_data_seconds += watch.seconds();
-    if (perf_on)
-        profile_.bp_data_perf.accumulate(
-            phasePerfSnapshot(pool).delta(perf0));
     watch.reset();
     {
         SPG_TRACE_SCOPE_N("layer", span_bp_weights, "batch", batch);

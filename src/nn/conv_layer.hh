@@ -76,6 +76,15 @@ class ConvLayer : public Layer
     void setFusedRelu(bool on) { fused_relu = on; }
     bool fusedRelu() const { return fused_relu; }
 
+    /**
+     * Whether backward() computes ei. The network turns it off on its
+     * first layer, whose input gradient nobody reads: BP then runs
+     * BP-weights alone and leaves ei untouched, and setEngines()
+     * accepts an empty bp_data (a plan tuned without BP-data).
+     */
+    void setInputGradient(bool on) { input_gradient = on; }
+    bool computesInputGradient() const override { return input_gradient; }
+
     bool hasParams() const override { return true; }
     std::int64_t paramCount() const override
     {
@@ -103,7 +112,7 @@ class ConvLayer : public Layer
     /** Engines currently deployed. */
     const EngineAssignment &engines() const { return assignment; }
     /** Deploy a new engine set (from the tuner or an experiment). */
-    void setEngines(const EngineAssignment &engines);
+    void setEngines(const EngineAssignment &requested);
 
     /** Sparsity of the most recent output-error gradients. */
     double lastErrorSparsity() const { return last_eo_sparsity; }
@@ -141,6 +150,7 @@ class ConvLayer : public Layer
     Tensor dweights;
     EngineAssignment assignment;
     bool fused_relu = false;
+    bool input_gradient = true;
     bool inference_only = false;
     /** ReLU activity mask [B][Nf][Oy][Ox] saved by the FP epilogue. */
     std::vector<std::uint8_t> relu_mask;

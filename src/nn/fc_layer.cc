@@ -88,13 +88,13 @@ FcLayer::backward(const Tensor &in, const Tensor &, const Tensor &eo,
         // Stage (mask ? eo : 0) ONCE; the three gradient consumers all
         // read the staged copy, so the standalone relu-backward pass
         // over the error tensor disappears.
-        SPG_ASSERT(relu_mask.size() ==
-                   static_cast<std::size_t>(eo.size()));
-        if (masked_eo.size() != eo.size())
+        const std::int64_t n = eo.size();
+        SPG_ASSERT(relu_mask.size() == static_cast<std::size_t>(n));
+        if (masked_eo.size() != n)
             masked_eo = Tensor::uninitialized(eo.shape());
         float *dst = masked_eo.data();
         const std::uint8_t *m = relu_mask.data();
-        for (std::int64_t i = 0; i < eo.size(); ++i)
+        for (std::int64_t i = 0; i < n; ++i)
             dst[i] = m[i] ? go[i] : 0.0f;
         go = dst;
     }

@@ -86,6 +86,13 @@ class Layer
     virtual bool backwardUsesOutput() const { return true; }
 
     /**
+     * @return false when backward() leaves ei untouched (a first layer
+     * whose input gradient nobody reads); the arena planner then gives
+     * that buffer no storage.
+     */
+    virtual bool computesInputGradient() const { return true; }
+
+    /**
      * @return true when the layer is elementwise and tolerates
      * forward() with out aliasing in, and backward() with ei aliasing
      * eo (each element read before it is written). The arena planner

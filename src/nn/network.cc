@@ -100,6 +100,11 @@ Network::Network(const NetConfig &config, std::uint64_t seed,
     head = dynamic_cast<SoftmaxLayer *>(layers.back().get());
     SPG_ASSERT(head != nullptr);
 
+    // Nothing reads the gradient w.r.t. the network input, so a first
+    // conv layer skips BP-data and the arena plans no buffer for it.
+    if (auto *conv = dynamic_cast<ConvLayer *>(layers.front().get()))
+        conv->setInputGradient(false);
+
     if (inference_only_) {
         for (auto &layer : layers)
             layer->setInferenceOnly();
@@ -165,6 +170,7 @@ Network::planArena(std::int64_t batch)
         std::int64_t end = 0;
         std::int64_t root = -1;  ///< alias target; -1 = self
         std::int64_t slot = -1;
+        bool stored = true;  ///< false: nobody writes it, no storage
     };
     const std::int64_t nbufs = inference_only_ ? L : 2 * L + 1;
     std::vector<Buf> bufs(static_cast<std::size_t>(nbufs));
@@ -200,6 +206,7 @@ Network::planArena(std::int64_t batch)
             Shape{batch, input_geom.c, input_geom.h, input_geom.w};
         bufs[L].start = 2 * L - 1;  // written by layer 0's BP, never read
         bufs[L].end = 2 * L - 1;
+        bufs[L].stored = layers[0]->computesInputGradient();
         for (std::int64_t i = 1; i <= L; ++i) {
             Geometry og = layers[i - 1]->outputGeometry();
             bufs[L + i].shape = Shape{batch, og.c, og.h, og.w};
@@ -255,7 +262,7 @@ Network::planArena(std::int64_t batch)
     std::vector<Slot> slots;
     std::vector<std::int64_t> roots;
     for (std::int64_t b = 0; b < nbufs; ++b)
-        if (bufs[b].root < 0)
+        if (bufs[b].root < 0 && bufs[b].stored)
             roots.push_back(b);
     std::sort(roots.begin(), roots.end(),
               [&](std::int64_t a, std::int64_t b) {
@@ -294,8 +301,10 @@ Network::planArena(std::int64_t batch)
     }
     arena_unplanned_bytes_ = 0;
     for (const Buf &buf : bufs)
-        arena_unplanned_bytes_ += buf.shape.elements() *
-                                  static_cast<std::int64_t>(sizeof(float));
+        if (buf.stored)
+            arena_unplanned_bytes_ +=
+                buf.shape.elements() *
+                static_cast<std::int64_t>(sizeof(float));
 
     // Record the per-buffer plan buildViews() rebuilds views from:
     // per-image geometry + layout flag + resolved slot. Shapes are
@@ -331,6 +340,8 @@ Network::buildViews(std::int64_t batch)
     errs.clear();
     auto viewOf = [&](std::int64_t b) {
         const BufPlan &plan = buf_plans_[static_cast<std::size_t>(b)];
+        if (plan.slot < 0)
+            return Tensor();  // unstored: its layer never writes it
         // Slabs are cache-line (64-byte) aligned by construction; the
         // blocked view constructor asserts that, as the direct engine's
         // register tiles rely on it.

@@ -203,7 +203,7 @@ class Network
     {
         Geometry geom;        ///< per-image extents
         bool blocked = false; ///< NCHWc slab (negotiated edge)
-        std::int64_t slot = 0;
+        std::int64_t slot = 0;  ///< -1: unstored, empty view
     };
     std::vector<BufPlan> buf_plans_;  ///< acts then errs, root slots
     std::int64_t plan_batch_ = 0;  ///< batch the slots were sized for

@@ -104,11 +104,14 @@ applyPruneMask(Tensor &w, const std::vector<std::uint8_t> &mask)
 {
     if (mask.empty())
         return;
-    SPG_ASSERT(static_cast<std::int64_t>(mask.size()) == w.size());
+    const std::int64_t n = w.size();
+    SPG_ASSERT(static_cast<std::int64_t>(mask.size()) == n);
     float *data = w.data();
-    for (std::int64_t i = 0; i < w.size(); ++i)
-        if (!mask[static_cast<std::size_t>(i)])
-            data[i] = 0.0f;
+    const std::uint8_t *keep = mask.data();
+    // Branchless select so the loop vectorizes; a kept weight is
+    // stored back unchanged, so the result is bit-for-bit the same.
+    for (std::int64_t i = 0; i < n; ++i)
+        data[i] = keep[i] ? data[i] : 0.0f;
 }
 
 } // namespace spg

@@ -45,7 +45,8 @@ Trainer::tuneAll(ThreadPool &pool, double sparsity_hint)
     for (ConvLayer *conv : network.convLayers()) {
         LayerPlan plan = tuner.tune(conv->spec(), sparsity_hint, pool,
                                     conv->fusedRelu(),
-                                    conv->weightSparsity());
+                                    conv->weightSparsity(),
+                                    conv->computesInputGradient());
         conv->setEngines(EngineAssignment{plan.fp_engine,
                                           plan.bp_data_engine,
                                           plan.bp_weights_engine});
@@ -118,7 +119,8 @@ Trainer::run(ThreadPool &pool)
                     plans[i] = tuner.tune(convs[i]->spec(),
                                           plans[i].tuned_sparsity,
                                           pool, convs[i]->fusedRelu(),
-                                          ws);
+                                          ws,
+                                          convs[i]->computesInputGradient());
                     convs[i]->setEngines(
                         EngineAssignment{plans[i].fp_engine,
                                          plans[i].bp_data_engine,
@@ -335,9 +337,10 @@ Trainer::run(ThreadPool &pool)
                     // FP profitability cannot drift with sparsity, so
                     // only the BP phases are re-measured; the plan
                     // keeps the FP choice and timings.
-                    plans[i] = tuner.retuneBp(plans[i], convs[i]->spec(),
-                                              observed, pool,
-                                              convs[i]->fusedRelu());
+                    plans[i] = tuner.retuneBp(
+                        plans[i], convs[i]->spec(), observed, pool,
+                        convs[i]->fusedRelu(),
+                        convs[i]->computesInputGradient());
                     convs[i]->setEngines(
                         EngineAssignment{plans[i].fp_engine,
                                          plans[i].bp_data_engine,

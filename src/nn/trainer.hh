@@ -140,6 +140,9 @@ class Trainer
      */
     const obs::DriftReport &driftReport() const { return drift; }
 
+    /** Each conv layer's current tuner plan (Autotune mode). */
+    const std::vector<LayerPlan> &layerPlans() const { return plans; }
+
   private:
     void tuneAll(ThreadPool &pool, double sparsity_hint);
 

@@ -22,15 +22,6 @@ Shape::Shape(std::initializer_list<std::int64_t> extents)
     }
 }
 
-std::int64_t
-Shape::elements() const
-{
-    std::int64_t n = 1;
-    for (int i = 0; i < 4; ++i)
-        n *= dims[i];
-    return n;
-}
-
 bool
 Shape::operator==(const Shape &other) const
 {

@@ -40,8 +40,13 @@ class Shape
     /** @return extent of dimension i (0-based). */
     std::int64_t operator[](int i) const { return dims[i]; }
 
-    /** @return product of all extents. */
-    std::int64_t elements() const;
+    /** @return product of all extents. Inline on purpose: it is the
+     *  bound of every tensor-length loop, and an out-of-line call there
+     *  is re-issued per element and blocks vectorization. */
+    std::int64_t elements() const
+    {
+        return dims[0] * dims[1] * dims[2] * dims[3];
+    }
 
     bool operator==(const Shape &other) const;
     bool operator!=(const Shape &other) const { return !(*this == other); }

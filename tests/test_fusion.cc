@@ -13,6 +13,8 @@
  */
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -456,6 +458,24 @@ TEST(PoolEdgeCases, OddGeometryAveragePoolBackward)
 // Fused sparsity accounting: the conv layer must report POST-mask
 // sparsity (what its BP engines actually see), not raw eo sparsity.
 
+/** Post-mask live count the way the layer defines it, made from the
+ *  fused output (out > 0 exactly where the ReLU mask is set). */
+std::int64_t
+referenceLiveCount(const Tensor &out, const Tensor &eo)
+{
+    std::int64_t live = 0;
+    for (std::int64_t i = 0; i < eo.size(); ++i)
+        if (out.data()[i] > 0.0f && eo.data()[i] != 0.0f)
+            ++live;
+    return live;
+}
+
+double
+sparsityOf(std::int64_t live, std::int64_t n)
+{
+    return 1.0 - static_cast<double>(live) / static_cast<double>(n);
+}
+
 TEST(FusedConvLayer, ReportsPostMaskSparsity)
 {
     ThreadPool pool(2);
@@ -472,10 +492,74 @@ TEST(FusedConvLayer, ReportsPostMaskSparsity)
     layer.forward(in, out, pool);
     layer.backward(in, out, eo, ei, pool);
     // eo itself is dense; the reported sparsity must equal the mask's
-    // clipped fraction.
-    double expected = out.sparsity();
-    EXPECT_GT(expected, 0.0);
-    EXPECT_NEAR(layer.lastErrorSparsity(), expected, 1e-12);
+    // clipped fraction, exactly.
+    std::int64_t live = referenceLiveCount(out, eo);
+    EXPECT_LT(live, eo.size());
+    EXPECT_EQ(layer.lastErrorSparsity(), sparsityOf(live, eo.size()));
+    EXPECT_EQ(layer.lastErrorSparsity(), out.sparsity());
+}
+
+TEST(FusedConvLayer, PostMaskSparsityIsExactOnEveryMaskAndPool)
+{
+    // A tiny tensor (216 elements) and one spanning several counting
+    // chunks with a ragged tail (97,104 elements); neither size is a
+    // multiple of a vector width.
+    const std::vector<std::pair<ConvSpec, std::int64_t>> shapes = {
+        {ConvSpec{8, 8, 2, 3, 3, 3, 1, 1}, 2},
+        {ConvSpec{70, 70, 1, 7, 3, 3, 1, 1}, 3},
+    };
+    enum class Mask { Mixed, AllDead, AllLive };
+    for (int threads : {1, 3}) {
+        ThreadPool pool(threads);
+        for (const auto &[spec, batch] : shapes) {
+            for (Mask m : {Mask::Mixed, Mask::AllDead, Mask::AllLive}) {
+                for (bool zero_eo : {false, true}) {
+                    Rng rng(101 + spec.nx);
+                    ConvLayer layer("convX", spec, rng);
+                    layer.setFusedRelu(true);
+                    Tensor in(Shape{batch, spec.nc, spec.ny, spec.nx});
+                    Tensor out(
+                        Shape{batch, spec.nf, spec.outY(), spec.outX()});
+                    Tensor eo(
+                        Shape{batch, spec.nf, spec.outY(), spec.outX()});
+                    Tensor ei(Shape{batch, spec.nc, spec.ny, spec.nx});
+                    if (m == Mask::Mixed) {
+                        in.fillUniform(rng);
+                    } else {
+                        in.fillUniform(rng, 0.1f, 1.0f);
+                        if (m == Mask::AllDead)
+                            layer.weights().fillUniform(rng, -0.6f, -0.1f);
+                        else
+                            layer.weights().fillUniform(rng, 0.1f, 0.6f);
+                        layer.paramsUpdated();
+                    }
+                    eo.fillUniform(rng);
+                    eo.sparsify(rng, 0.5);
+                    if (zero_eo)
+                        eo.zero();
+                    layer.forward(in, out, pool);
+                    layer.backward(in, out, eo, ei, pool);
+
+                    const std::int64_t n = eo.size();
+                    std::int64_t live = referenceLiveCount(out, eo);
+                    std::string what =
+                        "threads " + std::to_string(threads) + " n " +
+                        std::to_string(n) + " mask " +
+                        std::to_string(static_cast<int>(m)) + " zero_eo " +
+                        std::to_string(zero_eo);
+                    if (m == Mask::AllDead || zero_eo)
+                        EXPECT_EQ(live, 0) << what;
+                    else if (m == Mask::AllLive)
+                        EXPECT_EQ(live, n - eo.zeroCount()) << what;
+                    else
+                        EXPECT_GT(live, 0) << what;
+                    EXPECT_EQ(layer.lastErrorSparsity(),
+                              sparsityOf(live, n))
+                        << what;
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "data/synthetic.hh"
 #include "nn/network.hh"
 #include "nn/trainer.hh"
+#include "obs/metrics.hh"
 
 namespace spg {
 namespace {
@@ -291,6 +292,130 @@ TEST(Trainer, RecordsErrorSparsityAndEngines)
         ASSERT_EQ(epoch.conv_engines.size(), 1u);
         EXPECT_FALSE(epoch.conv_engines[0].fp.empty());
     }
+}
+
+/**
+ * Nothing reads the gradient w.r.t. the network input, so the first
+ * conv layer runs no BP-data. Training must still be bit-for-bit what
+ * a replay that does compute that gradient produces.
+ */
+TEST(FirstLayer, SkipsBpDataAndTrainsLikeFullReplay)
+{
+    NetConfig config = parseNetConfig(cifar10NetConfigText());
+    Network net(config, 21);
+    Network replay(config, 21);  // same seed -> same weights
+    ThreadPool pool(3);
+    ASSERT_FALSE(net.convLayers()[0]->computesInputGradient());
+    ASSERT_TRUE(net.convLayers()[1]->computesInputGradient());
+    replay.convLayers()[0]->setInputGradient(true);
+
+    const std::int64_t batch = 4;
+    const float lr = 0.01f;
+    const std::size_t L = replay.layerCount();
+    auto batchTensor = [&](Geometry g) {
+        return Tensor(Shape{batch, g.c, g.h, g.w});
+    };
+    std::vector<Tensor> acts, errs;
+    for (std::size_t i = 0; i < L; ++i) {
+        acts.push_back(batchTensor(replay.layer(i).outputGeometry()));
+        errs.push_back(batchTensor(replay.layer(i).inputGeometry()));
+    }
+    Tensor head_eo = batchTensor(replay.layer(L - 1).outputGeometry());
+    auto *head = dynamic_cast<SoftmaxLayer *>(&replay.layer(L - 1));
+    ASSERT_NE(head, nullptr);
+
+    obs::Counter &bp_flops =
+        obs::Metrics::global().counter("conv.bp_flops");
+    const ConvSpec &s0 = net.convLayers()[0]->spec();
+    const ConvSpec &s1 = net.convLayers()[1]->spec();
+
+    Rng rng(17);
+    Tensor images = batchTensor(net.inputGeometry());
+    std::vector<int> labels(static_cast<std::size_t>(batch));
+    for (int step = 0; step < 3; ++step) {
+        images.fillUniform(rng);
+        for (int &label : labels)
+            label = static_cast<int>(rng.below(10));
+
+        std::int64_t flops0 = bp_flops.value();
+        net.trainStep(images, labels, lr, pool);
+        // Layer 0 adds BP-weights flops only; layer 1 both BP phases.
+        EXPECT_EQ(bp_flops.value() - flops0,
+                  (s0.flops() + 2 * s1.flops()) * batch);
+
+        head->setLabels(labels);
+        for (std::size_t i = 0; i < L; ++i)
+            replay.layer(i).forward(i ? acts[i - 1] : images, acts[i],
+                                    pool);
+        for (std::size_t i = L; i-- > 0;)
+            replay.layer(i).backward(i ? acts[i - 1] : images, acts[i],
+                                     i + 1 < L ? errs[i + 1] : head_eo,
+                                     errs[i], pool);
+        for (std::size_t i = 0; i < L; ++i)
+            replay.layer(i).update(lr);
+    }
+    // The replay really did compute the input gradient.
+    EXPECT_GT(errs[0].maxAbs(), 0.0f);
+    for (std::size_t i = 0; i < L; ++i) {
+        auto got = net.layer(i).params();
+        auto want = replay.layer(i).params();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k]->size(), want[k]->size());
+            for (std::int64_t e = 0; e < got[k]->size(); ++e)
+                ASSERT_EQ((*got[k])[e], (*want[k])[e])
+                    << "layer " << i << " param " << k << " elem " << e;
+        }
+    }
+
+    // No arena storage for the unread input gradient.
+    Network full(config, 21);
+    full.convLayers()[0]->setInputGradient(true);
+    full.trainStep(images, labels, lr, pool);
+    EXPECT_LE(net.arenaBytes(), full.arenaBytes());
+    EXPECT_LT(net.arenaUnplannedBytes(), full.arenaUnplannedBytes());
+}
+
+TEST(FirstLayer, TunerMeasuresNoBpDataForIt)
+{
+    setLogLevel(LogLevel::Quiet);
+    Dataset ds = makeCifarLike(16, 45);
+    Network net(parseNetConfig(cifar10NetConfigText()), 12);
+    TrainerOptions opts;
+    opts.epochs = 1;
+    opts.batch = 8;
+    opts.learning_rate = 0.01f;
+    opts.mode = TrainerOptions::Mode::Autotune;
+    opts.tuner.reps = 1;
+    opts.tuner.batch = 2;
+    opts.tuner.retune_interval = 0;  // keep the initial plans
+    opts.tuner.sparsity_drift = 1.0;
+    opts.log_epochs = false;
+    ThreadPool pool(2);
+    Trainer trainer(net, ds, opts);
+    trainer.run(pool);
+
+    const std::vector<LayerPlan> &plans = trainer.layerPlans();
+    ASSERT_EQ(plans.size(), 2u);
+    EXPECT_EQ(plans[0].timings.count(Phase::BackwardData), 0u);
+    EXPECT_TRUE(plans[0].bp_data_engine.empty());
+    EXPECT_FALSE(plans[0].timings.at(Phase::BackwardWeights).empty());
+    EXPECT_FALSE(plans[1].timings.at(Phase::BackwardData).empty());
+    EXPECT_EQ(net.convLayers()[0]->profile().bp_data_seconds, 0.0);
+
+    // A sparsity-triggered BP re-tune keeps it that way.
+    Tuner tuner(opts.tuner);
+    ConvLayer *conv0 = net.convLayers()[0];
+    LayerPlan re = tuner.retuneBp(plans[0], conv0->spec(), 0.9, pool,
+                                  conv0->fusedRelu(), false);
+    EXPECT_EQ(re.timings.count(Phase::BackwardData), 0u);
+    EXPECT_FALSE(re.timings.at(Phase::BackwardWeights).empty());
+    EXPECT_EQ(re.fp_engine, plans[0].fp_engine);
+
+    // The drift report carries no BP-data row for layer 0.
+    ASSERT_FALSE(trainer.driftReport().samples().empty());
+    for (const obs::DriftSample &row : trainer.driftReport().samples())
+        EXPECT_FALSE(row.label == "conv0" && row.phase == "BP-data");
 }
 
 TEST(Trainer, RejectsMismatchedDataset)

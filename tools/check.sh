@@ -142,6 +142,9 @@ fi
 # cache: every GEMM FP/BP-data call goes through it, from serving
 # instances and tuner probes at once, and its bit-for-bit and in-place
 # mutation tests walk the packed panels ASan must prove in-bounds.
+# The FusedConvLayer and FirstLayer suites join because the post-mask
+# live count runs on pool workers in fixed chunks with a ragged tail,
+# and the first layer hands BP an input-gradient tensor with no storage.
 # The distrib suites (DataParallel,
 # Allreduce, GradCompress, Exchange) join both runs: the exchange
 # scheduler's in-place K-way averaging walks raw gradient spans ASan
@@ -160,6 +163,6 @@ fi
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange|ConvEngines'
+            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange|ConvEngines|FusedConvLayer|FirstLayer'
     done
 fi

@@ -195,7 +195,9 @@ cmdTrain(int argc, char **argv)
                     "%.2f | time FP %.1fms BP %.1fms+%.1fms\n",
                     i, convs[i]->spec().str().c_str(),
                     last.conv_engines[i].fp.c_str(),
-                    last.conv_engines[i].bp_data.c_str(),
+                    convs[i]->computesInputGradient()
+                        ? last.conv_engines[i].bp_data.c_str()
+                        : "-",
                     last.conv_error_sparsity[i],
                     prof.fp_seconds * 1e3,
                     prof.bp_data_seconds * 1e3,
@@ -773,7 +775,10 @@ cmdCluster(int argc, char **argv)
     for (std::size_t i = 0; i < deployed.size(); ++i)
         std::printf("  conv%zu (%s): FP=%s BP=%s/%s\n", i,
                     convs[i]->spec().str().c_str(),
-                    deployed[i].fp.c_str(), deployed[i].bp_data.c_str(),
+                    deployed[i].fp.c_str(),
+                    convs[i]->computesInputGradient()
+                        ? deployed[i].bp_data.c_str()
+                        : "-",
                     deployed[i].bp_weights.c_str());
 
     std::vector<int> sweep;
