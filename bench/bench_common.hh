@@ -2,15 +2,15 @@
  * @file
  * Shared plumbing for the figure/table reproduction benches.
  *
- * Every bench regenerates one table or figure of the paper. Because
- * this reproduction runs on a single-core host, each bench reports up
- * to two kinds of numbers, clearly labelled:
+ * Every bench regenerates one table or figure of the paper. The paper's
+ * machine has 16 cores, more than the 4-core development host, so each
+ * bench reports up to two kinds of numbers, clearly labelled:
  *
  *  - SIMULATED: the modeled 16-core Xeon E5-2650 (simcpu) — these are
  *    the rows/series the paper's multicore figures show;
- *  - MEASURED: real single-core kernel executions on this host —
- *    ground truth validating the single-core claims and calibrating
- *    the model.
+ *  - MEASURED: real kernel executions on this host (single-core
+ *    unless the bench says otherwise) — ground truth validating the
+ *    single-core claims and calibrating the model.
  */
 
 #ifndef SPG_BENCH_COMMON_HH

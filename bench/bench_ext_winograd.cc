@@ -4,7 +4,7 @@
  * paper's citation [18], "minimizing computation in CNNs") on the
  * 3x3 stride-1 layers of Table 2.
  *
- * MEASURED on this host: FP time of gemm-in-parallel, stencil and
+ * MEASURED on this host: FP time of gemm-in-parallel, direct and
  * winograd; the winograd column reflects its 2.25x arithmetic
  * reduction minus transform overheads.
  */
@@ -28,7 +28,7 @@ main(int argc, char **argv)
     TablePrinter table(
         "Extension: FP time (ms, batch 2) on 3x3 stride-1 layers — "
         "MEASURED, 1 core",
-        {"layer", "spec", "gemm-in-parallel", "stencil", "winograd",
+        {"layer", "spec", "gemm-in-parallel", "direct", "winograd",
          "winograd vs best"});
 
     // Table 2's 3x3 layers (small spatial dims, where winograd's
@@ -69,14 +69,14 @@ main(int argc, char **argv)
             });
         };
         double t_gemm = time_of("gemm-in-parallel");
-        double t_stencil = time_of("stencil");
+        double t_direct = time_of("direct");
         double t_wino = time_of("winograd");
-        double best = std::min(t_gemm, t_stencil);
+        double best = std::min(t_gemm, t_direct);
         table.addRow({
             row_def.label,
             spec.str(),
             TablePrinter::fmt(t_gemm * 1e3, 2),
-            TablePrinter::fmt(t_stencil * 1e3, 2),
+            TablePrinter::fmt(t_direct * 1e3, 2),
             TablePrinter::fmt(t_wino * 1e3, 2),
             TablePrinter::fmt(best / t_wino, 2) + "x",
         });

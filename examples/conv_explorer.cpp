@@ -120,7 +120,7 @@ main(int argc, char **argv)
         "simulated Xeon E5-2650 (paper machine), FP",
         {"engine", "1-core GF/s/core", "16-core GF/s/core"});
     for (const char *engine :
-         {"parallel-gemm", "gemm-in-parallel", "stencil"}) {
+         {"parallel-gemm", "gemm-in-parallel", "direct"}) {
         SimResult one = modelConvPhase(machine, spec, Phase::Forward,
                                        engine, batch, 1);
         SimResult sixteen = modelConvPhase(machine, spec, Phase::Forward,

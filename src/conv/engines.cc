@@ -8,7 +8,6 @@ makeAllEngines()
     std::vector<std::unique_ptr<ConvEngine>> engines;
     engines.push_back(std::make_unique<UnfoldGemmEngine>());
     engines.push_back(std::make_unique<GemmInParallelEngine>());
-    engines.push_back(std::make_unique<StencilEngine>());
     engines.push_back(std::make_unique<DirectEngine>());
     engines.push_back(std::make_unique<SparseBpEngine>());
     return engines;
@@ -32,8 +31,6 @@ makeEngine(const std::string &name)
         return std::make_unique<UnfoldGemmEngine>();
     if (name == "gemm-in-parallel")
         return std::make_unique<GemmInParallelEngine>();
-    if (name == "stencil")
-        return std::make_unique<StencilEngine>();
     if (name == "direct")
         return std::make_unique<DirectEngine>();
     if (name == "sparse-cached")

@@ -14,7 +14,6 @@
 #include "conv/engine_gemm.hh"
 #include "conv/engine_sparse.hh"
 #include "conv/engine_sparse_direct.hh"
-#include "conv/engine_stencil.hh"
 #include "conv/engine_winograd.hh"
 
 namespace spg {
@@ -22,7 +21,7 @@ namespace spg {
 /**
  * @return one instance of every paper-set production engine (excludes
  * the reference oracle and extensions): parallel-gemm,
- * gemm-in-parallel, stencil, direct, sparse-cached.
+ * gemm-in-parallel, direct, sparse-cached.
  */
 std::vector<std::unique_ptr<ConvEngine>> makeAllEngines();
 
@@ -36,8 +35,7 @@ std::vector<std::unique_ptr<ConvEngine>> makeExtendedEngines();
 /**
  * @return the engine with the given name(), or nullptr when unknown.
  * Recognized names: "reference", "parallel-gemm", "gemm-in-parallel",
- * "stencil", "direct", "sparse-cached", "sparse-weights-direct",
- * "winograd".
+ * "direct", "sparse-cached", "sparse-weights-direct", "winograd".
  */
 std::unique_ptr<ConvEngine> makeEngine(const std::string &name);
 

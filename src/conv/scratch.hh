@@ -60,19 +60,17 @@ enum ScratchSlot
     kSlotLayoutA = 3,      ///< layout-transform staging A
     kSlotLayoutB = 4,      ///< layout-transform staging B
     kSlotLayoutC = 5,      ///< layout-transform staging C
-    kSlotStencilIn = 6,    ///< strided-split input planes
-    kSlotStencilOut = 7,   ///< stencil output staging
-    kSlotPanelsB = 8,      ///< im2col emitted directly in B-panel format
-    kSlotMaskedEo = 9,     ///< ReLU-masked copy of one image's errors
+    kSlotPanelsB = 6,      ///< im2col emitted directly in B-panel format
+    kSlotMaskedEo = 7,     ///< ReLU-masked copy of one image's errors
     // Direct NCHWc engine. The batch-wide staging slots (In / Weights /
     // Out) are taken from the DISPATCHING thread's arena and shared
     // read-only (or disjointly written) by the workers inside one
     // fork-join region; kSlotDirectDw is a genuinely per-thread
     // gradient tile.
-    kSlotDirectIn = 10,      ///< blocked input / staged (masked) errors
-    kSlotDirectWeights = 11, ///< KCRSck or BP-gather blocked weights
-    kSlotDirectOut = 12,     ///< blocked output / input-error staging
-    kSlotDirectDw = 13       ///< one task's [fx][8][8] gradient tile
+    kSlotDirectIn = 8,       ///< blocked input / staged (masked) errors
+    kSlotDirectWeights = 9,  ///< KCRSck or BP-gather blocked weights
+    kSlotDirectOut = 10,     ///< blocked output / input-error staging
+    kSlotDirectDw = 11       ///< one task's [fx][8][8] gradient tile
 };
 
 } // namespace spg

@@ -1,7 +1,6 @@
 #include "nn/simple_layers.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/logging.hh"
 
@@ -118,14 +117,16 @@ PoolLayer::backward(const Tensor &, const Tensor &, const Tensor &eo,
     Geometry og = outputGeometry();
     std::int64_t in_stride = geom.elems();
     std::int64_t out_stride = og.elems();
-    ei.zero();
+    SPG_ASSERT(ei.size() == batch * in_stride);
 
     // Scatter targets stay inside the (b, c) input plane (argmax
-    // indices are plane-relative), so the 2D tasks write disjointly.
+    // indices are plane-relative), so the 2D tasks write disjointly;
+    // each task zeroes its own plane first.
     pool.parallelFor2D(
         batch, geom.c, [&](std::int64_t b, std::int64_t c, int) {
             const float *go = eo.data() + b * out_stride;
             float *plane = ei.data() + b * in_stride + c * geom.h * geom.w;
+            std::fill_n(plane, geom.h * geom.w, 0.0f);
             for (std::int64_t y = 0; y < og.h; ++y) {
                 for (std::int64_t x = 0; x < og.w; ++x) {
                     float e = go[(c * og.h + y) * og.w + x];

@@ -1,9 +1,6 @@
 #include "tensor/layout.hh"
 
 #include <algorithm>
-#include <cstring>
-
-#include "util/logging.hh"
 
 namespace spg {
 
@@ -109,38 +106,6 @@ weightsFromKkfc(const float *src, std::int64_t fy, std::int64_t fx,
                     std::int64_t d = ((f * nc + c) * fy + ky) * fx + kx;
                     dst[d] = src[s];
                 }
-}
-
-std::int64_t
-stridedSplitX(const float *src, std::int64_t ny, std::int64_t nx,
-              std::int64_t sx, float *dst)
-{
-    SPG_ASSERT(sx >= 1);
-    std::int64_t xp = (nx + sx - 1) / sx;
-    std::memset(dst, 0, sizeof(float) * ny * sx * xp);
-    for (std::int64_t y = 0; y < ny; ++y) {
-        const float *row = src + y * nx;
-        float *out_row = dst + y * sx * xp;
-        for (std::int64_t x = 0; x < nx; ++x) {
-            std::int64_t s = x % sx;
-            std::int64_t xq = x / sx;
-            out_row[s * xp + xq] = row[x];
-        }
-    }
-    return xp;
-}
-
-void
-stridedMergeX(const float *src, std::int64_t ny, std::int64_t nx,
-              std::int64_t sx, float *dst)
-{
-    std::int64_t xp = (nx + sx - 1) / sx;
-    for (std::int64_t y = 0; y < ny; ++y) {
-        const float *in_row = src + y * sx * xp;
-        float *row = dst + y * nx;
-        for (std::int64_t x = 0; x < nx; ++x)
-            row[x] = in_row[(x % sx) * xp + x / sx];
-    }
 }
 
 } // namespace spg

@@ -116,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, static_cast<int>(std::size(kCases))),
         ::testing::Values(std::string("parallel-gemm"),
                           std::string("gemm-in-parallel"),
-                          std::string("stencil"), std::string("direct"),
+                          std::string("direct"),
                           std::string("sparse-cached")),
         ::testing::Values(0.0, 0.85, 0.99)),
     [](const auto &info) {
@@ -134,9 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ConvEngines, RegistryKnowsAllNames)
 {
     for (const char *name :
-         {"reference", "parallel-gemm", "gemm-in-parallel", "stencil",
-          "direct", "sparse-cached", "sparse-weights-direct",
-          "winograd"}) {
+         {"reference", "parallel-gemm", "gemm-in-parallel", "direct",
+          "sparse-cached", "sparse-weights-direct", "winograd"}) {
         auto e = makeEngine(name);
         ASSERT_NE(e, nullptr) << name;
         EXPECT_EQ(e->name(), name);
@@ -148,10 +147,10 @@ TEST(ConvEngines, RegistryKnowsAllNames)
     // Deleted engines stay deleted.
     for (const char *gone :
          {"fft", "sparse", "sparse-weights", "parallel-gemm-packed",
-          "gemm-in-parallel-packed"})
+          "gemm-in-parallel-packed", "stencil"})
         EXPECT_EQ(makeEngine(gone), nullptr) << gone;
-    EXPECT_EQ(makeAllEngines().size(), 5u);
-    EXPECT_EQ(makeExtendedEngines().size(), 7u);
+    EXPECT_EQ(makeAllEngines().size(), 4u);
+    EXPECT_EQ(makeExtendedEngines().size(), 6u);
 }
 
 TEST(ConvEngines, PhaseSupportMatrix)
@@ -159,8 +158,8 @@ TEST(ConvEngines, PhaseSupportMatrix)
     EXPECT_TRUE(makeEngine("parallel-gemm")->supports(Phase::Forward));
     EXPECT_TRUE(
         makeEngine("parallel-gemm")->supports(Phase::BackwardData));
-    EXPECT_TRUE(makeEngine("stencil")->supports(Phase::Forward));
-    EXPECT_FALSE(makeEngine("stencil")->supports(Phase::BackwardData));
+    EXPECT_TRUE(makeEngine("winograd")->supports(Phase::Forward));
+    EXPECT_FALSE(makeEngine("winograd")->supports(Phase::BackwardData));
     EXPECT_FALSE(makeEngine("sparse-cached")->supports(Phase::Forward));
     EXPECT_TRUE(
         makeEngine("sparse-cached")->supports(Phase::BackwardData));
@@ -347,31 +346,6 @@ TEST(ConvEngines, SparseCachedSeesInPlaceErrorMutation)
     EXPECT_TRUE(allClose(ei, ei_ref, 1e-3f, 1e-4f))
         << "stale sparse plan served after mutation";
     SparsePlanCache::global().clear();
-}
-
-TEST(ConvEngines, StencilAblationVariantsMatchReference)
-{
-    // Fixed 1-row tiles and disabled stride transform must stay
-    // correct (they are only slower).
-    ConvSpec spec{16, 16, 3, 4, 5, 5, 2, 2};
-    Rng rng(7);
-    ThreadPool pool(2);
-    Tensor in(Shape{2, spec.nc, spec.ny, spec.nx});
-    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    in.fillUniform(rng);
-    w.fillUniform(rng);
-    Tensor ref_out(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    ReferenceEngine().forward(spec, in, w, ref_out, pool);
-
-    for (int fixed_ry : {0, 1, 4}) {
-        for (bool xform : {true, false}) {
-            StencilEngine eng(fixed_ry, xform);
-            Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
-            eng.forward(spec, in, w, out, pool);
-            EXPECT_TRUE(allClose(out, ref_out, 1e-3f, 1e-4f))
-                << "ry=" << fixed_ry << " xform=" << xform;
-        }
-    }
 }
 
 TEST(ConvEngines, SparseTileWidthVariantsMatchReference)

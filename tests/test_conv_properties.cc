@@ -468,7 +468,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 4),
                        ::testing::Values(std::string("parallel-gemm"),
                                          std::string("gemm-in-parallel"),
-                                         std::string("stencil"),
                                          std::string("direct"),
                                          std::string("sparse-cached"))),
     [](const auto &info) {

@@ -93,12 +93,10 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     EXPECT_FALSE(plan.bp_data_engine.empty());
     EXPECT_FALSE(plan.bp_weights_engine.empty());
     EXPECT_NE(plan.fp_engine, "sparse-cached"); // sparse is BP-only
-    EXPECT_NE(plan.bp_data_engine, "stencil"); // stencil is FP-only
     EXPECT_DOUBLE_EQ(plan.tuned_sparsity, 0.9);
 
-    // FP candidates: parallel-gemm, gemm-in-parallel, stencil, and
-    // direct.
-    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 4u);
+    // FP candidates: parallel-gemm, gemm-in-parallel and direct.
+    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 3u);
     // BP candidates: parallel-gemm, gemm-in-parallel, direct, and
     // sparse-cached.
     EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 4u);
@@ -172,8 +170,7 @@ TEST(Tuner, RecordsScheduleTelemetry)
             // batch, so their measurements must record a schedule;
             // parallel-gemm may run a tiny MM without the pool.
             if (t.engine.find("in-parallel") != std::string::npos ||
-                t.engine.find("sparse") != std::string::npos ||
-                t.engine == "stencil") {
+                t.engine.find("sparse") != std::string::npos) {
                 EXPECT_GT(items, 0)
                     << phaseName(phase) << " " << t.engine;
             }

@@ -236,7 +236,7 @@ TEST(Network, EngineChoiceDoesNotChangeResults)
     std::vector<EngineAssignment> assignments = {
         {"parallel-gemm", "parallel-gemm", "parallel-gemm"},
         {"gemm-in-parallel", "gemm-in-parallel", "gemm-in-parallel"},
-        {"stencil", "sparse-cached", "sparse-cached"},
+        {"direct", "sparse-cached", "sparse-cached"},
     };
     std::vector<double> losses;
     for (const auto &assignment : assignments) {

@@ -364,7 +364,7 @@ TEST(Drift, PercentilesAreNearestRank)
         obs::DriftSample s;
         s.label = "conv0";
         s.phase = "FP";
-        s.engine = "stencil";
+        s.engine = "direct";
         s.region = i <= 5 ? "R1" : "R4";
         s.measured_seconds = 1.0;
         s.modeled_seconds = 1.0 - 0.1 * i;

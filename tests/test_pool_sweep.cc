@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
+#include <utility>
 
 #include "nn/conv_layer.hh"
 #include "nn/simple_layers.hh"
@@ -114,6 +116,43 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<3>(info.param)) +
                (std::get<4>(info.param) ? "_avg" : "_max");
     });
+
+TEST(PoolLayer, BackwardOverwritesStaleInputGradient)
+{
+    // Each (image, channel) task of PoolLayer::backward zeroes its own
+    // input-gradient plane before it scatters, so a NaN-filled ei must
+    // come out equal to a zeroed one. Stride 3 over kernel 2
+    // leaves rows and columns no window touches; kernel 3 over stride 2
+    // makes windows overlap.
+    const Geometry g{5, 9, 11};
+    const std::int64_t batch = 3;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (auto mode : {PoolLayer::Mode::Max, PoolLayer::Mode::Avg}) {
+        for (auto [kernel, stride] : {std::pair{2, 3}, std::pair{3, 2}}) {
+            PoolLayer layer(g, kernel, stride, mode);
+            Geometry og = layer.outputGeometry();
+            Rng rng(kernel * 10 + stride);
+            Tensor in(Shape{batch, g.c, g.h, g.w});
+            Tensor out(Shape{batch, og.c, og.h, og.w});
+            Tensor eo(Shape{batch, og.c, og.h, og.w});
+            in.fillUniform(rng);
+            eo.fillUniform(rng);
+            for (int threads : {1, 3}) {
+                ThreadPool pool(threads);
+                layer.forward(in, out, pool);
+                Tensor zeroed(Shape{batch, g.c, g.h, g.w});
+                layer.backward(in, out, eo, zeroed, pool);
+                Tensor stale(Shape{batch, g.c, g.h, g.w});
+                stale.fill(nan);
+                layer.backward(in, out, eo, stale, pool);
+                for (std::int64_t i = 0; i < stale.size(); ++i)
+                    ASSERT_EQ(stale[i], zeroed[i])
+                        << "k" << kernel << "s" << stride << " threads "
+                        << threads << " element " << i;
+            }
+        }
+    }
+}
 
 TEST(ConvLayerProfile, AccumulatesPerPhaseTime)
 {

@@ -169,40 +169,5 @@ TEST(Layout, WeightsKkfcRoundTrip)
     EXPECT_EQ(maxAbsDiff(w, back), 0.0f);
 }
 
-class StridedSplit
-    : public ::testing::TestWithParam<std::tuple<int, int, int>>
-{
-};
-
-TEST_P(StridedSplit, RoundTripAndSemantics)
-{
-    auto [ny, nx, sx] = GetParam();
-    Tensor a(Shape{ny, nx});
-    Rng rng(17);
-    a.fillUniform(rng);
-    std::int64_t xp = (nx + sx - 1) / sx;
-    Tensor split(Shape{ny, sx, xp});
-    std::int64_t got = stridedSplitX(a.data(), ny, nx, sx, split.data());
-    EXPECT_EQ(got, xp);
-    // Semantics: split[y][x % sx][x / sx] == a[y][x].
-    for (std::int64_t y = 0; y < ny; ++y)
-        for (std::int64_t x = 0; x < nx; ++x)
-            ASSERT_EQ(split.at(y, x % sx, x / sx), a.at(y, x));
-    Tensor back(Shape{ny, nx});
-    stridedMergeX(split.data(), ny, nx, sx, back.data());
-    EXPECT_EQ(maxAbsDiff(a, back), 0.0f);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, StridedSplit,
-    ::testing::Values(std::make_tuple(4, 12, 2), std::make_tuple(4, 13, 2),
-                      std::make_tuple(3, 17, 3), std::make_tuple(5, 9, 4),
-                      std::make_tuple(1, 7, 7), std::make_tuple(2, 5, 1)),
-    [](const auto &info) {
-        return "y" + std::to_string(std::get<0>(info.param)) + "x" +
-               std::to_string(std::get<1>(info.param)) + "s" +
-               std::to_string(std::get<2>(info.param));
-    });
-
 } // namespace
 } // namespace spg

@@ -138,11 +138,11 @@ TEST(Cli, ParsesTypedFlags)
     cli.addBool("csv", false, "emit csv");
 
     const char *argv[] = {"prog",       "--cores=8", "--sparsity", "0.5",
-                          "--engine",   "stencil",   "--csv",      "pos1"};
+                          "--engine",   "direct",    "--csv",      "pos1"};
     cli.parse(8, const_cast<char **>(argv));
     EXPECT_EQ(cli.getInt("cores"), 8);
     EXPECT_DOUBLE_EQ(cli.getDouble("sparsity"), 0.5);
-    EXPECT_EQ(cli.getString("engine"), "stencil");
+    EXPECT_EQ(cli.getString("engine"), "direct");
     EXPECT_TRUE(cli.getBool("csv"));
     ASSERT_EQ(cli.positional().size(), 1u);
     EXPECT_EQ(cli.positional()[0], "pos1");

@@ -145,6 +145,8 @@ fi
 # The FusedConvLayer and FirstLayer suites join because the post-mask
 # live count runs on pool workers in fixed chunks with a ragged tail,
 # and the first layer hands BP an input-gradient tensor with no storage.
+# The PoolLayer suite joins because each pooling backward task zeroes
+# and scatters into its own input-gradient plane on the pool.
 # The distrib suites (DataParallel,
 # Allreduce, GradCompress, Exchange) join both runs: the exchange
 # scheduler's in-place K-way averaging walks raw gradient spans ASan
@@ -163,6 +165,6 @@ fi
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange|ConvEngines|FusedConvLayer|FirstLayer'
+            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange|ConvEngines|FusedConvLayer|FirstLayer|PoolLayer'
     done
 fi

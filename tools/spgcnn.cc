@@ -259,7 +259,7 @@ cmdCharacterize(int argc, char **argv)
     TablePrinter sim("modeled Xeon E5-2650 per-core GFlops (FP)",
                      {"engine", "1 core", "16 cores"});
     for (const char *engine :
-         {"parallel-gemm", "gemm-in-parallel", "stencil"}) {
+         {"parallel-gemm", "gemm-in-parallel", "direct"}) {
         sim.addRow({engine,
                     TablePrinter::fmt(
                         modelConvPhase(machine, spec, Phase::Forward,
@@ -535,7 +535,7 @@ cmdServe(int argc, char **argv)
 }
 
 /**
- * One Table-1 layer per engine family: hardware-counter DRAM traffic
+ * Table 1 ID 0 once per engine family: hardware-counter DRAM traffic
  * (LLC misses x cache line) next to the simcpu traffic model, and the
  * arithmetic intensities both imply. The standalone view of the drift
  * report's measured-vs-modeled traffic join; measured columns print
@@ -556,24 +556,21 @@ cmdCounters(int argc, char **argv)
                 obs::perfEnabled() ? "available" : "n/a",
                 obs::energyMeter().available() ? "available" : "n/a");
 
-    // One representative per engine family, on a Table 1 layer where
-    // the family is at home: the small compute-bound ID 0 for the
-    // GEMM / direct / CSR-weights families, the large-kernel ID 5 for
-    // stencil. CSR-weights is measured at a post-pruning sparsity.
+    // One representative per engine family, on the small compute-bound
+    // Table 1 ID 0. CSR-weights is measured at a post-pruning sparsity.
     struct Probe
     {
         const char *family;
-        int table1_id;
         const char *engine;
         double weight_sparsity;
     };
     static const Probe kProbes[] = {
-        {"gemm (data-parallel)", 0, "parallel-gemm", 0.0},
-        {"gemm (model-parallel)", 0, "gemm-in-parallel", 0.0},
-        {"stencil", 5, "stencil", 0.0},
-        {"direct (NCHWc)", 0, "direct", 0.0},
-        {"sparse-weights (CSR)", 0, "sparse-weights-direct", 0.9},
+        {"gemm (data-parallel)", "parallel-gemm", 0.0},
+        {"gemm (model-parallel)", "gemm-in-parallel", 0.0},
+        {"direct (NCHWc)", "direct", 0.0},
+        {"sparse-weights (CSR)", "sparse-weights-direct", 0.9},
     };
+    const ConvSpec &spec = table1Convolutions()[0].spec;
 
     ThreadPool pool(static_cast<int>(cli.getInt("threads")));
     const std::int64_t batch = cli.getInt("batch");
@@ -583,16 +580,12 @@ cmdCounters(int argc, char **argv)
     MachineModel machine = MachineModel::xeonE5_2650();
 
     TablePrinter table(
-        "measured vs modeled FP traffic (batch " +
+        "measured vs modeled FP traffic on Table 1 ID 0 (batch " +
             std::to_string(batch) + ", " +
             std::to_string(pool.threads()) + " thread(s))",
-        {"family", "T1", "engine", "ms", "model MB", "meas MB",
-         "model AIT", "meas AIT", "meas/model"});
+        {"family", "engine", "ms", "model MB", "meas MB", "model AIT",
+         "meas AIT", "meas/model"});
     for (const Probe &probe : kProbes) {
-        const Table1Entry &entry =
-            table1Convolutions()[static_cast<std::size_t>(
-                probe.table1_id)];
-        const ConvSpec &spec = entry.spec;
         auto engine = makeEngine(probe.engine);
         if (!engine || !engine->supports(Phase::Forward) ||
             !engine->supportsGeometry(spec))
@@ -632,8 +625,8 @@ cmdCounters(int argc, char **argv)
         double model_mb = modeled.total_bytes / 1e6;
         double flops = modeled.total_flops;
         table.addRow(
-            {probe.family, std::to_string(probe.table1_id),
-             probe.engine, TablePrinter::fmt(seconds * 1e3, 3),
+            {probe.family, probe.engine,
+             TablePrinter::fmt(seconds * 1e3, 3),
              TablePrinter::fmt(model_mb, 2),
              measured_mb >= 0 ? TablePrinter::fmt(measured_mb, 2)
                               : "n/a",
